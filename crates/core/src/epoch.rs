@@ -85,31 +85,15 @@ impl<M: PreferenceModel> DatasetEpoch<M> {
     /// pristine [`OverlayPreferences`] so it becomes editable.
     pub fn build(table: Table, prefs: M) -> Result<Self> {
         let ctx = BatchCoinContext::build(&table)?;
-        Ok(Self::from_parts(
-            0,
-            Arc::new(table),
-            Arc::new(ctx),
-            Arc::new(OverlayPreferences::new(prefs)),
-        ))
-    }
-
-    /// Assemble an epoch from shared parts (shard replication and
-    /// epoch-atomic multi-engine installs reuse one build this way).
-    pub fn from_parts(
-        id: u64,
-        table: Arc<Table>,
-        ctx: Arc<BatchCoinContext>,
-        prefs: Arc<OverlayPreferences<M>>,
-    ) -> Self {
-        Self {
-            id,
-            table,
-            ctx,
-            prefs,
+        Ok(Self {
+            id: 0,
+            table: Arc::new(table),
+            ctx: Arc::new(ctx),
+            prefs: Arc::new(OverlayPreferences::new(prefs)),
             fingerprints: OnceLock::new(),
             superseded: AtomicBool::new(false),
             retired: None,
-        }
+        })
     }
 
     /// Install the counter bumped when a *superseded* epoch is dropped by

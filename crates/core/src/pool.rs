@@ -57,18 +57,6 @@ impl ThreadBudget {
         self.spare.load(Ordering::Relaxed)
     }
 
-    /// Return `tokens` to the pot without a lease.
-    ///
-    /// This is how a multi-shard driver shares one allowance: each shard
-    /// is handed a fixed worker count up front, and a shard whose slice of
-    /// the workload cannot use its full grant deposits the difference back
-    /// so other shards' intra-component DFS leases can draw on it.
-    pub fn deposit(&self, tokens: usize) {
-        if tokens > 0 {
-            self.spare.fetch_add(tokens, Ordering::AcqRel);
-        }
-    }
-
     /// Take up to `want` tokens, without blocking. The returned lease may
     /// hold fewer tokens than requested — including zero.
     pub fn lease(self: &Arc<Self>, want: usize) -> ThreadLease {
@@ -146,19 +134,6 @@ mod tests {
         drop(b);
         drop(c);
         assert_eq!(pot.spare(), 3);
-    }
-
-    #[test]
-    fn deposits_grow_the_pot() {
-        let pot = ThreadBudget::new(0);
-        assert_eq!(pot.lease(1).granted(), 0);
-        pot.deposit(2);
-        assert_eq!(pot.spare(), 2);
-        let l = pot.lease(3);
-        assert_eq!(l.granted(), 2);
-        drop(l);
-        pot.deposit(0);
-        assert_eq!(pot.spare(), 2);
     }
 
     #[test]

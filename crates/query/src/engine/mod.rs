@@ -50,8 +50,7 @@ mod sensitivity;
 pub use plan::{exact_cost, largest_component, Plan, PlanReason};
 pub use prepare::{PrepareOptions, SkyScratch};
 pub use resident::{
-    all_sky_range_resident, all_sky_resident, sky_one_resident, threshold_resident, top_k_resident,
-    ResidentOutcome,
+    all_sky_resident, sky_one_resident, threshold_resident, top_k_resident, ResidentOutcome,
 };
 pub use sensitivity::{
     elicitation_rank_resident, sensitivity_one_resident, sensitivity_resident, ElicitOptions,
@@ -588,10 +587,11 @@ pub(crate) fn effective_threads(requested: Option<usize>, n: usize) -> usize {
 /// re-raised on the caller's thread with its original payload after all
 /// workers have been joined.
 ///
-/// `spare` threads beyond the `threads` batch workers are pooled in a
-/// shared [`ThreadBudget`]; workers lease from it for intra-component
-/// parallel DFS, so the batch fan-out and the per-component fan-out draw
-/// from one allowance and never oversubscribe the host.
+/// `spare` threads beyond the `threads` batch workers are pooled in one
+/// [`ThreadBudget`] for the whole batch; workers lease from it for
+/// intra-component parallel DFS, so the batch fan-out and the
+/// per-component fan-out draw from one allowance and never oversubscribe
+/// the host.
 pub(crate) fn run_chunked<T, F>(
     n: usize,
     threads: usize,
@@ -603,28 +603,6 @@ where
     F: Fn(usize, &mut SkyScratch, &mut PipelineStats, &Arc<ThreadBudget>) -> T + Sync,
 {
     let pool = ThreadBudget::new(spare);
-    run_chunked_range(0..n, threads, &pool, f)
-}
-
-/// [`run_chunked`] over a contiguous index range, drawing spare capacity
-/// from a caller-owned pot.
-///
-/// `f` receives *global* indices from `range`, so per-index behaviour
-/// (seed decorrelation, view assembly) is independent of how a batch is
-/// split into ranges. The externally-owned `pool` is what lets a
-/// multi-shard driver share one thread allowance: every shard's workers
-/// lease intra-component DFS capacity from the same pot.
-pub(crate) fn run_chunked_range<T, F>(
-    range: std::ops::Range<usize>,
-    threads: usize,
-    pool: &Arc<ThreadBudget>,
-    f: F,
-) -> (Vec<T>, PipelineStats)
-where
-    T: Send,
-    F: Fn(usize, &mut SkyScratch, &mut PipelineStats, &Arc<ThreadBudget>) -> T + Sync,
-{
-    let (base, n) = (range.start, range.len());
     let next = AtomicUsize::new(0);
     let mut collected: Vec<(usize, Vec<T>)> = Vec::new();
     let mut stats = PipelineStats::default();
@@ -644,7 +622,7 @@ where
                         let end = (start + CHUNK).min(n);
                         let mut chunk = Vec::with_capacity(end - start);
                         for i in start..end {
-                            chunk.push(f(base + i, &mut scratch, &mut local, pool));
+                            chunk.push(f(i, &mut scratch, &mut local, &pool));
                         }
                         parts.push((start, chunk));
                     }

@@ -161,56 +161,25 @@ pub fn all_sky_resident<M: PreferenceModel + Sync>(
     let n = ctx.n_objects();
     let threads = super::effective_threads(opts.threads, n);
     let spare = presky_core::num_threads(opts.threads).saturating_sub(threads);
-    let pool = ThreadBudget::new(spare);
-    all_sky_range_resident(ctx, prefs, 0..n, threads, opts, cache, budget, &pool)
-}
-
-/// All-sky over a contiguous slice of the object range — the per-shard
-/// driver behind the service layer's sharded fan-out.
-///
-/// The closure sees **global** object indices, so seed decorrelation
-/// (`reseed(algo, i)`) and view assembly are independent of how the batch
-/// was split: concatenating the `results` of adjacent ranges reproduces
-/// [`all_sky_resident`]'s output bit for bit at any shard count.
-///
-/// `workers` is this call's slice of the request's thread allowance. The
-/// grant is clamped to the range length and any unusable remainder is
-/// deposited back into the shared `pool`, so a shard with a short range
-/// hands its idle threads to other shards' intra-component DFS leases.
-/// The `budget` ledgers are evaluated per call, i.e. per shard.
-#[allow(clippy::too_many_arguments)]
-pub fn all_sky_range_resident<M: PreferenceModel + Sync>(
-    ctx: &BatchCoinContext,
-    prefs: &M,
-    range: std::ops::Range<usize>,
-    workers: usize,
-    opts: QueryOptions,
-    cache: Option<CacheScope<'_>>,
-    budget: EngineBudget,
-    pool: &std::sync::Arc<ThreadBudget>,
-) -> Result<ResidentOutcome<SkyResult>> {
-    let threads = workers.max(1).clamp(1, range.len().max(1));
-    pool.deposit(workers.saturating_sub(threads));
     let prep = PrepareOptions::default().with_component_cache(opts.component_cache);
     let ledger = Ledger::new(&budget);
-    let (results, stats) =
-        super::run_chunked_range(range, threads, pool, |i, scratch, stats, pool| {
-            run_budgeted(&ledger, &budget, stats, |per_object, stats| {
-                let algo = reseed(opts.algorithm, i as u64);
-                super::solve_batch_one(
-                    ctx,
-                    prefs,
-                    ObjectId::from(i),
-                    algo,
-                    per_object,
-                    prep,
-                    scratch,
-                    stats,
-                    cache,
-                    Some(pool),
-                )
-            })
-        });
+    let (results, stats) = super::run_chunked(n, threads, spare, |i, scratch, stats, pool| {
+        run_budgeted(&ledger, &budget, stats, |per_object, stats| {
+            let algo = reseed(opts.algorithm, i as u64);
+            super::solve_batch_one(
+                ctx,
+                prefs,
+                ObjectId::from(i),
+                algo,
+                per_object,
+                prep,
+                scratch,
+                stats,
+                cache,
+                Some(pool),
+            )
+        })
+    });
     let results = results.into_iter().collect::<Result<Vec<_>>>()?;
     Ok(ResidentOutcome { results, stats, truncated: ledger.truncated.into_inner() })
 }

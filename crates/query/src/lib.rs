@@ -48,11 +48,11 @@ pub mod prelude {
         Degenerate,
     };
     pub use crate::engine::{
-        all_sky_range_resident, all_sky_resident, elicitation_rank_resident,
-        sensitivity_one_resident, sensitivity_resident, sky_one_resident, threshold_resident,
-        top_k_resident, CacheScope, ElicitOptions, ElicitationCandidate, ElicitationOutcome,
-        EngineBudget, PipelineStats, Plan, PlanReason, PrepareOptions, ResidentOutcome,
-        Sensitivity, SensitivityOptions, TargetSensitivity,
+        all_sky_resident, elicitation_rank_resident, sensitivity_one_resident,
+        sensitivity_resident, sky_one_resident, threshold_resident, top_k_resident, CacheScope,
+        ElicitOptions, ElicitationCandidate, ElicitationOutcome, EngineBudget, PipelineStats, Plan,
+        PlanReason, PrepareOptions, ResidentOutcome, Sensitivity, SensitivityOptions,
+        TargetSensitivity,
     };
     pub use crate::error::QueryError;
     pub use crate::oracle::all_sky_naive;

@@ -65,7 +65,6 @@ use std::time::Instant;
 
 use presky_core::batch::BatchCoinContext;
 use presky_core::epoch::{DatasetEpoch, SnapshotView, WriteEffects};
-use presky_core::pool::ThreadBudget;
 use presky_core::preference::{DeltaOverlay, PreferenceModel};
 use presky_core::table::Table;
 use presky_core::types::{DimId, ObjectId, ValueId};
@@ -74,11 +73,10 @@ use presky_approx::sampler::SamOptions;
 use presky_exact::cache::{ComponentCache, Eviction, DEFAULT_BYTE_CAP};
 use presky_exact::snapshot::{self, Fnv, SnapshotFingerprint};
 use presky_query::engine::{
-    all_sky_range_resident, all_sky_resident, elicitation_rank_resident, sensitivity_one_resident,
-    sensitivity_resident, sky_one_resident, threshold_resident, top_k_resident, CacheScope,
-    EngineBudget, PipelineStats, ResidentOutcome,
+    all_sky_resident, elicitation_rank_resident, sensitivity_one_resident, sensitivity_resident,
+    sky_one_resident, threshold_resident, top_k_resident, CacheScope, EngineBudget, PipelineStats,
 };
-use presky_query::prob_skyline::{Algorithm, QueryOptions, SkyResult};
+use presky_query::prob_skyline::Algorithm;
 
 use crate::coalesce::{request_signature, Join, SingleFlight};
 use crate::error::{Result, ServiceError};
@@ -206,9 +204,8 @@ pub struct Engine<M> {
     flights: Arc<SingleFlight>,
     /// Superseded epochs whose last pinned reader has drained.
     epochs_retired: Arc<AtomicU64>,
-    /// Registered per-user preference overlays; shared (same `Arc`)
-    /// across every shard of a sharded deployment.
-    tenants: Arc<TenantRegistry>,
+    /// Registered per-user preference overlays.
+    tenants: TenantRegistry,
 }
 
 /// Per-dimension cap on the value universe hashed pairwise into the
@@ -271,18 +268,11 @@ impl Drop for InFlightSlot<'_> {
 impl<M: PreferenceModel + Sync> Engine<M> {
     /// Index `table` once and stand up an empty component cache.
     pub fn new(table: Table, prefs: M, opts: EngineOptions) -> Result<Self> {
-        let epoch =
+        let mut epoch =
             DatasetEpoch::build(table, prefs).map_err(presky_query::error::QueryError::from)?;
-        Ok(Self::from_epoch(epoch, opts))
-    }
-
-    /// Assemble an engine around an already-built epoch — how the sharded
-    /// deployment replicates one build across shards without re-validating
-    /// the table per shard.
-    pub(crate) fn from_epoch(mut epoch: DatasetEpoch<M>, opts: EngineOptions) -> Self {
         let epochs_retired = Arc::new(AtomicU64::new(0));
         epoch.set_retirement_counter(Arc::clone(&epochs_retired));
-        Self {
+        Ok(Self {
             current: RwLock::new(Arc::new(epoch)),
             writer: Mutex::new(()),
             cache: ComponentCache::with_byte_cap(opts.cache_bytes),
@@ -291,8 +281,8 @@ impl<M: PreferenceModel + Sync> Engine<M> {
             in_flight: AtomicUsize::new(0),
             flights: Arc::default(),
             epochs_retired,
-            tenants: Arc::default(),
-        }
+            tenants: TenantRegistry::default(),
+        })
     }
 
     /// [`Engine::new`], then replace the empty component cache with a
@@ -314,7 +304,7 @@ impl<M: PreferenceModel + Sync> Engine<M> {
         path: &Path,
     ) -> Result<Self> {
         let mut engine = Self::new(table, prefs, opts)?;
-        engine.load_cache_from(path)?;
+        engine.load_cache_snapshot(path)?;
         Ok(engine)
     }
 
@@ -350,7 +340,7 @@ impl<M: PreferenceModel + Sync> Engine<M> {
     }
 
     /// Pin the current epoch: one `Arc` clone under the read lock.
-    pub(crate) fn pin(&self) -> Arc<DatasetEpoch<M>> {
+    fn pin(&self) -> Arc<DatasetEpoch<M>> {
         Arc::clone(&self.current.read().unwrap_or_else(|e| e.into_inner()))
     }
 
@@ -367,18 +357,6 @@ impl<M: PreferenceModel + Sync> Engine<M> {
         self.current.read().unwrap_or_else(|e| e.into_inner()).id()
     }
 
-    /// The live component cache (sharded driver + tests).
-    pub(crate) fn cache(&self) -> &ComponentCache {
-        &self.cache
-    }
-
-    /// Replace the component cache with a snapshot from `path` (refuses a
-    /// fingerprint mismatch). Backs both warm-start constructors.
-    pub(crate) fn load_cache_from(&mut self, path: &Path) -> Result<()> {
-        self.cache = snapshot::load_from_path(path, self.fingerprint(), self.opts.cache_bytes)?;
-        Ok(())
-    }
-
     /// Replace the component cache with a snapshot from `path`.
     ///
     /// Same contract as [`with_warm_cache`](Engine::with_warm_cache), but
@@ -389,7 +367,8 @@ impl<M: PreferenceModel + Sync> Engine<M> {
     /// engine's is refused with [`ServiceError::Warmstart`] naming the
     /// tenant registry.
     pub fn load_cache_snapshot(&mut self, path: &Path) -> Result<()> {
-        self.load_cache_from(path)
+        self.cache = snapshot::load_from_path(path, self.fingerprint(), self.opts.cache_bytes)?;
+        Ok(())
     }
 
     /// Register (or wholesale replace) `tenant`'s preference overlay from
@@ -446,25 +425,6 @@ impl<M: PreferenceModel + Sync> Engine<M> {
         self.tenants.len()
     }
 
-    /// The shared tenant registry (sharded driver replication).
-    pub(crate) fn tenants_arc(&self) -> Arc<TenantRegistry> {
-        Arc::clone(&self.tenants)
-    }
-
-    /// Adopt `registry` as this engine's tenant table. The sharded driver
-    /// calls this at construction so every shard resolves tenants from
-    /// one shared registry — a registration through any handle is visible
-    /// fleet-wide, and fan-out legs of one request resolve identical
-    /// state on every shard.
-    pub(crate) fn share_tenants(&mut self, registry: Arc<TenantRegistry>) {
-        self.tenants = registry;
-    }
-
-    /// The internal counter block (sharded driver's request attribution).
-    pub(crate) fn metrics_ref(&self) -> &Metrics {
-        &self.metrics
-    }
-
     /// Objects in the current epoch.
     pub fn n_objects(&self) -> usize {
         self.current.read().unwrap_or_else(|e| e.into_inner()).n_objects()
@@ -512,8 +472,16 @@ impl<M: PreferenceModel + Sync> Engine<M> {
     }
 
     /// Single-writer commit protocol: serialise, derive the next epoch
-    /// from the current one, install. A failed write installs nothing and
-    /// leaves the current epoch untouched.
+    /// from the current one, invalidate the cache for the write's touched
+    /// coins, swap the epoch pointer, and mark the old epoch superseded
+    /// (it retires when its last pinned reader drains; derived epochs
+    /// inherit the retirement counter). A failed write installs nothing
+    /// and leaves the current epoch untouched.
+    ///
+    /// Invalidation runs *before* the swap so no reader of the new epoch
+    /// can observe a stale-reachable entry; entries a concurrent
+    /// old-epoch reader re-inserts afterwards carry old probability bits
+    /// and are unreachable from new-epoch signatures.
     fn commit(
         &self,
         write: impl FnOnce(
@@ -521,28 +489,8 @@ impl<M: PreferenceModel + Sync> Engine<M> {
         ) -> presky_core::error::Result<(DatasetEpoch<M>, WriteEffects)>,
     ) -> Result<CommitReceipt> {
         let _writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        let current = self.pin();
-        let (next, effects) = write(&current).map_err(presky_query::error::QueryError::from)?;
-        Ok(self.install(next, &effects))
-    }
-
-    /// Install `next` as the current epoch: invalidate the cache for the
-    /// write's touched coins, swap the epoch pointer, mark the old epoch
-    /// superseded (it retires when its last pinned reader drains).
-    ///
-    /// Callers must hold a writer lock (this engine's via
-    /// [`commit`](Self::commit), or the sharded driver's fleet-wide one).
-    /// Invalidation runs *before* the swap so no reader of the new epoch
-    /// can observe a stale-reachable entry; entries a concurrent
-    /// old-epoch reader re-inserts afterwards carry old probability bits
-    /// and are unreachable from new-epoch signatures.
-    pub(crate) fn install(
-        &self,
-        mut next: DatasetEpoch<M>,
-        effects: &WriteEffects,
-    ) -> CommitReceipt {
-        next.set_retirement_counter(Arc::clone(&self.epochs_retired));
-        let evicted = self.invalidate(effects);
+        let (next, effects) = write(&self.pin()).map_err(presky_query::error::QueryError::from)?;
+        let evicted = self.invalidate(&effects);
         let next = Arc::new(next);
         let epoch = next.id();
         let old = {
@@ -554,12 +502,12 @@ impl<M: PreferenceModel + Sync> Engine<M> {
         inc(&self.metrics.writes);
         self.metrics.evicted_components.fetch_add(evicted.entries, Ordering::Relaxed);
         self.metrics.evicted_bytes.fetch_add(evicted.bytes, Ordering::Relaxed);
-        CommitReceipt {
+        Ok(CommitReceipt {
             epoch,
             dirtied_targets: effects.dirtied_targets,
             evicted_components: evicted.entries,
             evicted_bytes: evicted.bytes,
-        }
+        })
     }
 
     /// Evict what one write stranded (see the [module docs](self)).
@@ -810,85 +758,6 @@ impl<M: PreferenceModel + Sync> Engine<M> {
                 (n as u64).saturating_mul(per_object(SamOptions::default()))
             }
         }
-    }
-
-    /// One shard's slice of a fanned-out all-sky request (global indices
-    /// in `range`, `workers` threads, spare capacity via the shared
-    /// `pool`). Admission here is the in-flight ceiling only: the owning
-    /// sharded driver applies the cost gate once for the whole request
-    /// rather than once per shard. `budget` is already absolute, so every
-    /// shard of one request shares one wall-clock cut-off. The driver's
-    /// epoch gate guarantees no write lands mid-fan-out, so pinning the
-    /// current epoch here is consistent across shards.
-    pub(crate) fn run_all_sky_range(
-        &self,
-        tenant: Option<TenantId>,
-        range: std::ops::Range<usize>,
-        workers: usize,
-        opts: QueryOptions,
-        budget: EngineBudget,
-        pool: &Arc<ThreadBudget>,
-    ) -> Result<ResidentOutcome<SkyResult>> {
-        inc(&self.metrics.requests);
-        let overlay = match tenant {
-            Some(t) => match self.tenants.resolve(t.0) {
-                Some(state) => {
-                    self.metrics.tenant_add(t.0, |m| m.requests += 1);
-                    Some(state)
-                }
-                None => {
-                    inc(&self.metrics.failed);
-                    return Err(ServiceError::UnknownTenant { tenant: t.0 });
-                }
-            },
-            None => None,
-        };
-        let epoch = self.pin();
-        let previous = self.in_flight.fetch_add(1, Ordering::AcqRel);
-        let slot = InFlightSlot(&self.in_flight);
-        if previous >= self.opts.max_in_flight {
-            inc(&self.metrics.shed_overload);
-            return Err(ServiceError::Overloaded {
-                in_flight: previous,
-                max: self.opts.max_in_flight,
-            });
-        }
-        inc(&self.metrics.admitted);
-        let scope = self.scope_for(overlay.as_deref(), tenant);
-        let out = match overlay.as_deref() {
-            Some(state) if !state.delta.is_empty() => all_sky_range_resident(
-                epoch.ctx().as_ref(),
-                &DeltaOverlay::new(&state.delta, epoch.prefs().as_ref()),
-                range.clone(),
-                workers,
-                opts,
-                Some(scope),
-                budget,
-                pool,
-            ),
-            _ => all_sky_range_resident(
-                epoch.ctx().as_ref(),
-                epoch.prefs().as_ref(),
-                range,
-                workers,
-                opts,
-                Some(scope),
-                budget,
-                pool,
-            ),
-        }
-        .map_err(|e| {
-            inc(&self.metrics.failed);
-            ServiceError::from(e)
-        })?;
-        drop(slot);
-        self.metrics.merge_stats(&out.stats);
-        self.count_tenant_stats(tenant, &out.stats);
-        inc(&self.metrics.completed);
-        if out.truncated > 0 {
-            inc(&self.metrics.deadline_misses);
-        }
-        Ok(out)
     }
 
     /// A point-in-time view of the engine's counters and cache.
@@ -1262,15 +1131,21 @@ mod tests {
                 assert!(*truncated > 0);
                 let got = partial.as_all_sky().unwrap();
                 let want = full.outcome.value().as_all_sky().unwrap();
+                assert_eq!(got.len(), want.len());
                 for (g, w) in got.iter().zip(want) {
                     if let Some(g) = g {
                         assert_eq!(g.sky.to_bits(), w.unwrap().sky.to_bits());
                     }
                 }
+                let withheld = got.iter().filter(|g| g.is_none()).count() as u64;
+                assert_eq!(*truncated, withheld, "truncation count must match the None slots");
             }
             other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
-        assert_eq!(e.metrics().deadline_misses, 1);
+        let m = e.metrics();
+        assert_eq!(m.deadline_misses, 1);
+        assert_eq!(m.in_flight, 0);
+        assert_eq!(m.failed, 0);
     }
 
     #[test]

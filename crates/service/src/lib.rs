@@ -55,7 +55,6 @@ pub mod engine;
 pub mod error;
 pub mod metrics;
 pub mod request;
-pub mod sharded;
 pub mod tenant;
 
 pub use digest::digest;
@@ -63,7 +62,6 @@ pub use engine::{CommitReceipt, Engine, EngineOptions};
 pub use error::ServiceError;
 pub use metrics::{MetricsSnapshot, TenantMetrics};
 pub use request::{Budget, Outcome, Query, Request, Response, Value};
-pub use sharded::ShardedEngine;
 pub use tenant::{OverlayHandle, TenantId};
 
 /// Commonly used names.
@@ -73,7 +71,6 @@ pub mod prelude {
     pub use crate::error::ServiceError;
     pub use crate::metrics::MetricsSnapshot;
     pub use crate::request::{Budget, Outcome, Query, Request, Response, Value};
-    pub use crate::sharded::ShardedEngine;
     pub use crate::tenant::{OverlayHandle, TenantId};
     pub use presky_query::engine::{
         ElicitOptions, ElicitationCandidate, Sensitivity, SensitivityOptions, TargetSensitivity,

@@ -194,11 +194,12 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Fold another engine's snapshot into this one — how a sharded
-    /// deployment reports fleet totals. Counters and pipeline stats are
-    /// additive (`largest_component` by max, as in
-    /// [`PipelineStats::merge`]); cache occupancy sums across the
-    /// per-shard caches.
+    /// Fold another engine's snapshot into this one — how a caller that
+    /// builds several engines over a run (one per pass, say) reports
+    /// totals. Counters and pipeline stats are additive
+    /// (`largest_component` by max, as in [`PipelineStats::merge`]); the
+    /// `epoch` gauge takes the max; cache occupancy sums across the
+    /// engines' caches.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         self.requests += other.requests;
         self.admitted += other.admitted;

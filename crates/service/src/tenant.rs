@@ -112,10 +112,8 @@ pub(crate) fn delta_fingerprint(delta: &PrefDelta) -> u64 {
     h.finish()
 }
 
-/// The engine's tenant table. One registry instance is shared (by `Arc`)
-/// across every shard of a sharded deployment, so registration on any
-/// handle is visible fleet-wide and fan-out resolves identically on every
-/// shard.
+/// The engine's tenant table: tenant id → the overlay state requests
+/// resolve at admission.
 #[derive(Debug, Default)]
 pub(crate) struct TenantRegistry {
     tenants: RwLock<HashMap<u64, Arc<TenantState>>>,

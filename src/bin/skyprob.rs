@@ -23,7 +23,7 @@
 //!                  [--threads 4] [--rounds 2] [--tau 0.1] [--k 5]
 //!                  [--deadline-ms 50] [--max-joints J] [--max-samples S]
 //!                  [--max-in-flight 64] [--max-predicted-cost C]
-//!                  [--duplicate-fraction 0.9] [--no-coalesce] [--shards N]
+//!                  [--duplicate-fraction 0.9] [--no-coalesce]
 //!                  [--save-cache snap] [--warm-cache snap] [--min-warm-hit-rate 0.9]
 //!                  [--mutation-rate 0.1] [--mutation-mix prefs|mixed] [--full-drop]
 //!                  [--min-post-mutation-hit-rate 0.8]
@@ -32,6 +32,8 @@
 //! ```
 //!
 //! Tables and preference files use the `presky-datagen` text formats.
+//! Each command accepts only the flags it reads: any other flag (a stale
+//! or misspelt one, say) is refused before the command does any work.
 //!
 //! The `sky` algorithms `adaptive`, `detplus`, `det`, `sam` and `samplus`
 //! all run through the unified `presky_query::engine` pipeline
@@ -52,10 +54,9 @@
 //! many threads and prints its `MetricsSnapshot` plus requests/s and
 //! p50/p99 latency. `--duplicate-fraction` injects identical concurrent
 //! submissions (the single-flight coalescing workload; `--no-coalesce`
-//! is the A/B baseline), `--shards` deploys a `ShardedEngine`, and
-//! `--save-cache` / `--warm-cache` persist the component cache across
-//! restarts (`--min-warm-hit-rate` turns the warm first-round hit rate
-//! into an exit-code assertion for CI).
+//! is the A/B baseline), and `--save-cache` / `--warm-cache` persist the
+//! component cache across restarts (`--min-warm-hit-rate` turns the warm
+//! first-round hit rate into an exit-code assertion for CI).
 //!
 //! `--mutation-rate` turns that fraction of serve submissions into
 //! *writes* against the live engine — preference edits, plus inserts and
@@ -110,6 +111,21 @@ fn run(args: &[String]) -> Result<(), String> {
         return Err(usage());
     };
     let flags = parse_flags(&args[1..]);
+    if let Some(accepted) = accepted_flags(cmd, args.get(1).map(String::as_str)) {
+        let mut unknown: Vec<&str> = flags
+            .keys()
+            .map(String::as_str)
+            .filter(|f| !accepted.split_whitespace().any(|a| a == *f))
+            .collect();
+        if !unknown.is_empty() {
+            unknown.sort_unstable();
+            return Err(format!(
+                "{cmd}: unknown flag --{} (accepted: --{})",
+                unknown.join(", --"),
+                accepted.split_whitespace().collect::<Vec<_>>().join(", --")
+            ));
+        }
+    }
     match cmd.as_str() {
         "gen" => gen(args.get(1).map(String::as_str), &flags),
         "sky" => sky(&flags),
@@ -137,12 +153,45 @@ fn usage() -> String {
      skyprob serve --table FILE (--prefs FILE | --seed-prefs N) [--threads T] [--rounds R]\n  \
                 [--tau T] [--k K] [--deadline-ms D] [--max-joints J] [--max-samples S]\n  \
                 [--max-in-flight F] [--max-predicted-cost C] [--duplicate-fraction F]\n  \
-                [--no-coalesce] [--shards N] [--save-cache FILE] [--warm-cache FILE]\n  \
+                [--no-coalesce] [--save-cache FILE] [--warm-cache FILE]\n  \
                 [--min-warm-hit-rate R] [--mutation-rate F] [--mutation-mix prefs|mixed]\n  \
                 [--full-drop] [--min-post-mutation-hit-rate R] [--tenants N]\n  \
                 [--overlay-pairs K] [--tenant-zipf Z] [--tenant-namespace]\n  \
                 [--min-cross-user-hit-rate R]"
         .to_owned()
+}
+
+/// The flags `cmd` reads, space-separated (for `gen`, those of generator
+/// `kind`), or `None` for an unknown command or generator, which the
+/// dispatcher reports itself. `run` refuses every other flag, so a stale
+/// or misspelt one fails loudly instead of being ignored — a misspelt
+/// exit-code gate would otherwise switch its check off.
+fn accepted_flags(cmd: &str, kind: Option<&str>) -> Option<&'static str> {
+    Some(match (cmd, kind) {
+        ("gen", Some("uniform")) => "n d seed values out",
+        ("gen", Some("blockzipf")) => "n d seed block values zipf out",
+        ("gen", Some("nursery" | "car")) => "d out",
+        ("gen", Some("prefs")) => "table law seed out",
+        ("sky", _) => "table prefs seed-prefs target algo samples stats no-component-cache",
+        ("profile", _) => "table prefs seed-prefs target",
+        ("skyline", _) => {
+            "table prefs seed-prefs tau stats no-component-cache \
+             deadline-ms max-joints max-samples"
+        }
+        ("topk", _) => {
+            "table prefs seed-prefs k no-component-cache deadline-ms max-joints max-samples"
+        }
+        ("elicit", _) => "dataset d n rounds top seed-prefs threads",
+        ("serve", _) => {
+            "table prefs seed-prefs threads rounds tau k deadline-ms max-joints max-samples \
+             max-in-flight max-predicted-cost duplicate-fraction no-coalesce save-cache \
+             warm-cache min-warm-hit-rate mutation-rate mutation-mix full-drop \
+             min-post-mutation-hit-rate tenants overlay-pairs tenant-zipf tenant-namespace \
+             min-cross-user-hit-rate"
+        }
+        ("--help" | "-h" | "help", _) => "",
+        _ => return None,
+    })
 }
 
 fn parse_flags(args: &[String]) -> HashMap<String, String> {
@@ -563,106 +612,6 @@ fn elicit(flags: &HashMap<String, String>) -> Result<(), String> {
     }
 }
 
-/// `serve`'s engine handle: a single [`Engine`] or a sharded deployment
-/// behind one dispatch surface.
-enum Server {
-    Single(Box<Engine<Prefs>>),
-    Sharded(ShardedEngine<Prefs>),
-}
-
-impl Server {
-    fn run(&self, request: Request) -> std::result::Result<Response, ServiceError> {
-        match self {
-            Server::Single(e) => e.run(request),
-            Server::Sharded(e) => e.run(request),
-        }
-    }
-
-    fn n_objects(&self) -> usize {
-        match self {
-            Server::Single(e) => e.n_objects(),
-            Server::Sharded(e) => e.n_objects(),
-        }
-    }
-
-    fn metrics(&self) -> MetricsSnapshot {
-        match self {
-            Server::Single(e) => e.metrics(),
-            Server::Sharded(e) => e.metrics(),
-        }
-    }
-
-    fn save_cache_snapshot(&self, path: &Path) -> std::result::Result<(), ServiceError> {
-        match self {
-            Server::Single(e) => e.save_cache_snapshot(path),
-            Server::Sharded(e) => e.save_cache_snapshot(path),
-        }
-    }
-
-    fn load_cache_snapshot(&mut self, path: &Path) -> std::result::Result<(), ServiceError> {
-        match self {
-            Server::Single(e) => e.load_cache_snapshot(path),
-            Server::Sharded(e) => e.load_cache_snapshot(path),
-        }
-    }
-
-    fn register_tenant(
-        &self,
-        tenant: TenantId,
-        pairs: &[(DimId, ValueId, ValueId, f64, f64)],
-    ) -> std::result::Result<OverlayHandle, ServiceError> {
-        match self {
-            Server::Single(e) => e.register_tenant(tenant, pairs),
-            Server::Sharded(e) => e.register_tenant(tenant, pairs),
-        }
-    }
-
-    fn epoch(&self) -> u64 {
-        match self {
-            Server::Single(e) => e.epoch(),
-            Server::Sharded(e) => e.epoch(),
-        }
-    }
-
-    fn snapshot(&self) -> SnapshotView<Prefs> {
-        match self {
-            Server::Single(e) => e.snapshot(),
-            Server::Sharded(e) => e.snapshot(),
-        }
-    }
-
-    fn insert_object(
-        &self,
-        values: &[ValueId],
-    ) -> std::result::Result<CommitReceipt, ServiceError> {
-        match self {
-            Server::Single(e) => e.insert_object(values),
-            Server::Sharded(e) => e.insert_object(values),
-        }
-    }
-
-    fn remove_object(&self, obj: ObjectId) -> std::result::Result<CommitReceipt, ServiceError> {
-        match self {
-            Server::Single(e) => e.remove_object(obj),
-            Server::Sharded(e) => e.remove_object(obj),
-        }
-    }
-
-    fn set_preference(
-        &self,
-        dim: DimId,
-        a: ValueId,
-        b: ValueId,
-        forward: f64,
-        backward: f64,
-    ) -> std::result::Result<CommitReceipt, ServiceError> {
-        match self {
-            Server::Single(e) => e.set_preference(dim, a, b, forward, backward),
-            Server::Sharded(e) => e.set_preference(dim, a, b, forward, backward),
-        }
-    }
-}
-
 /// splitmix64 finaliser — the serve driver's deterministic hash: the same
 /// sequence number always yields the same bits, so a workload replays
 /// identically across A/B runs. Salting the input (`seq ^ SALT`) derives
@@ -685,23 +634,6 @@ const MUTATE_SALT: u64 = 0x6d75_7461_7465_5f5f;
 /// Salt for the write-op parameter stream.
 const WRITE_OP_SALT: u64 = 0x7772_6974_655f_6f70;
 
-/// FNV-1a digest over an all-sky result vector (presence byte + value
-/// bits per slot) — the CI bit-identity handle: equal digests ⇔ equal
-/// slot-for-slot answers.
-fn allsky_digest(slots: &[Option<SkyResult>]) -> u64 {
-    let mut h = presky::exact::snapshot::Fnv::new();
-    for slot in slots {
-        match slot {
-            Some(r) => {
-                h.eat(&[1]);
-                h.eat(&r.sky.to_bits().to_le_bytes());
-            }
-            None => h.eat(&[0]),
-        }
-    }
-    h.finish()
-}
-
 fn percentile(sorted_nanos: &[u64], p: f64) -> std::time::Duration {
     if sorted_nanos.is_empty() {
         return std::time::Duration::ZERO;
@@ -721,8 +653,8 @@ const TENANT_PAIR_SALT: u64 = 0x7465_6e61_6e74_5f70;
 /// base model holds). Rare values keep each overlay's touched-coin set
 /// small, so most components stay on shared cross-user cache keys — the
 /// production shape of per-user elicitation over distinctive attribute
-/// levels. A pure function of the tenant id: every serve run — shared,
-/// namespaced, sharded — registers bit-identical overlays.
+/// levels. A pure function of the tenant id: every serve run — shared or
+/// namespaced — registers bit-identical overlays.
 fn synthetic_overlay(
     tenant: u64,
     k: usize,
@@ -764,17 +696,17 @@ fn pick_rank(cdf: &[f64], u: f64) -> usize {
     cdf.partition_point(|&c| c <= u).min(cdf.len().saturating_sub(1))
 }
 
-/// In-process mixed-workload driver against one resident engine
-/// (`--shards N` deploys a [`ShardedEngine`] instead): `--threads`
-/// workers each issue `--rounds` passes over a five-shape workload,
-/// every request under the same optional budget. `--duplicate-fraction`
-/// replaces that fraction of submissions with one fixed all-sky request
-/// so single-flight coalescing wins are measurable (`--no-coalesce` is
-/// the A/B baseline). The run opens with a timed first-round all-sky
-/// probe — its cache hit rate backs `--min-warm-hit-rate` and its digest
-/// is the CI bit-identity handle — and closes with requests/s, p50/p99
-/// latency, and the engine's [`MetricsSnapshot`]. `--save-cache` /
-/// `--warm-cache` snapshot and restore the component cache across runs.
+/// In-process mixed-workload driver against one resident engine:
+/// `--threads` workers each issue `--rounds` passes over a five-shape
+/// workload, every request under the same optional budget.
+/// `--duplicate-fraction` replaces that fraction of submissions with one
+/// fixed all-sky request so single-flight coalescing wins are measurable
+/// (`--no-coalesce` is the A/B baseline). The run opens with a timed
+/// first-round all-sky probe — its cache hit rate backs
+/// `--min-warm-hit-rate` and its digest is the CI bit-identity handle —
+/// and closes with requests/s, p50/p99 latency, and the engine's
+/// [`MetricsSnapshot`]. `--save-cache` / `--warm-cache` snapshot and
+/// restore the component cache across runs.
 fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let (table, prefs) = load_instance(flags)?;
     let threads: usize = get(flags, "threads")?.unwrap_or(4).max(1);
@@ -841,7 +773,6 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
     if flags.contains_key("full-drop") {
         engine_opts = engine_opts.with_incremental_invalidation(false);
     }
-    let shards: Option<usize> = get(flags, "shards")?;
     let warm: Option<PathBuf> = get(flags, "warm-cache")?;
     let tenants_n: usize = get(flags, "tenants")?.unwrap_or(0);
     let overlay_k: usize = get(flags, "overlay-pairs")?.unwrap_or(2);
@@ -852,21 +783,14 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
     if tenants_n > 0 && overlay_k > 0 && rare_dims.is_empty() {
         return Err("--tenants needs a dimension with >= 2 distinct values".to_owned());
     }
-    let mut server = match shards {
-        None => Server::Single(Box::new(
-            Engine::new(table, prefs, engine_opts).map_err(|e| e.to_string())?,
-        )),
-        Some(s) => Server::Sharded(
-            ShardedEngine::new(table, prefs, engine_opts, s).map_err(|e| e.to_string())?,
-        ),
-    };
+    let mut engine = Engine::new(table, prefs, engine_opts).map_err(|e| e.to_string())?;
     // Tenants register *before* any warm load: the snapshot fingerprint
     // covers the tenant registry, so a tenant-serving snapshot only
     // revalidates against the same registration set.
     if tenants_n > 0 {
         for t in 0..tenants_n as u64 {
             let pairs = synthetic_overlay(t, overlay_k, &rare_dims);
-            server.register_tenant(TenantId(t), &pairs).map_err(|e| e.to_string())?;
+            engine.register_tenant(TenantId(t), &pairs).map_err(|e| e.to_string())?;
         }
         println!(
             "registered {tenants_n} tenants with {overlay_k}-pair overlays \
@@ -875,25 +799,24 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
         );
     }
     if let Some(path) = &warm {
-        server.load_cache_snapshot(path).map_err(|e| e.to_string())?;
+        engine.load_cache_snapshot(path).map_err(|e| e.to_string())?;
     }
     let tenant_cdf: Option<Vec<f64>> = (tenants_n > 0).then(|| zipf_cdf(tenants_n, tenant_theta));
-    let n = server.n_objects();
+    let n = engine.n_objects();
 
     // First-round probe: one unbudgeted all-sky pass. Its hit rate is the
     // warmstart evidence (a warm engine answers its *first* round at the
     // steady-state rate) and its digest the bit-identity handle.
     let probe_started = std::time::Instant::now();
-    let probe = server
+    let probe = engine
         .run(Request::all_sky(QueryOptions::default().with_threads(Some(1))))
         .map_err(|e| e.to_string())?;
     let probe_elapsed = probe_started.elapsed();
-    let slots = probe.outcome.value().as_all_sky().expect("all-sky request yields slots");
     let (hits, probes) = (probe.stats.cache_hits, probe.stats.cache_probes);
     let hit_rate = if probes == 0 { 0.0 } else { hits as f64 / probes as f64 };
     println!(
         "first all-sky: {probe_elapsed:.1?}, cache hit rate {hit_rate:.3} ({hits}/{probes} probes), digest {:016x}",
-        allsky_digest(slots)
+        digest(std::slice::from_ref(&probe.outcome))
     );
     if let Some(floor) = get::<f64>(flags, "min-warm-hit-rate")? {
         if hit_rate < floor {
@@ -931,7 +854,7 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let (tallies, writes, mut latencies) = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|t| {
-                let server = &server;
+                let engine = &engine;
                 let requests = &requests;
                 let hot = &hot;
                 let editable_dims = &editable_dims;
@@ -962,23 +885,23 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
                                             + fresh_values
                                                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                                         let row = vec![ValueId(code); dims];
-                                        (1, server.insert_object(&row))
+                                        (1, engine.insert_object(&row))
                                     }
                                     3 => {
                                         // Keep the dataset from draining:
                                         // below half the seed size, top up
                                         // instead of removing.
-                                        let n_now = server.n_objects();
+                                        let n_now = engine.n_objects();
                                         if n_now > n / 2 {
                                             let last = ObjectId((n_now - 1) as u32);
-                                            (2, server.remove_object(last))
+                                            (2, engine.remove_object(last))
                                         } else {
                                             let code = 1_000_000
                                                 + fresh_values.fetch_add(
                                                     1,
                                                     std::sync::atomic::Ordering::Relaxed,
                                                 );
-                                            (1, server.insert_object(&vec![ValueId(code); dims]))
+                                            (1, engine.insert_object(&vec![ValueId(code); dims]))
                                         }
                                     }
                                     _ => {
@@ -995,7 +918,7 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
                                         let backward = ((h >> 52) & 0xfff) as f64 / 4095.0 * 0.5;
                                         (
                                             0,
-                                            server.set_preference(
+                                            engine.set_preference(
                                                 *dim, vals[a], vals[b], forward, backward,
                                             ),
                                         )
@@ -1021,7 +944,7 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
                                 request = request.with_tenant(TenantId(rank as u64));
                             }
                             let submitted = std::time::Instant::now();
-                            match server.run(request) {
+                            match engine.run(request) {
                                 Ok(resp) => match resp.outcome {
                                     Outcome::Exact(_) => tally[0] += 1,
                                     Outcome::Estimate(_) => tally[1] += 1,
@@ -1073,24 +996,23 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
             writes[1],
             writes[2],
             writes[3],
-            server.epoch(),
+            engine.epoch(),
         );
         // Post-storm probe: the incremental-invalidation evidence. After a
         // mutation storm the surviving cache should still answer most of
         // the next all-sky pass (`--min-post-mutation-hit-rate` turns this
         // into a CI exit-code assertion) …
         let post_started = std::time::Instant::now();
-        let post = server
+        let post = engine
             .run(Request::all_sky(QueryOptions::default().with_threads(Some(1))))
             .map_err(|e| e.to_string())?;
         let post_elapsed = post_started.elapsed();
-        let slots = post.outcome.value().as_all_sky().expect("all-sky request yields slots");
         let (hits, probes) = (post.stats.cache_hits, post.stats.cache_probes);
         let hit_rate = if probes == 0 { 0.0 } else { hits as f64 / probes as f64 };
-        let digest = allsky_digest(slots);
+        let live_digest = digest(std::slice::from_ref(&post.outcome));
         println!(
             "post-mutation all-sky: {post_elapsed:.1?}, cache hit rate {hit_rate:.3} \
-             ({hits}/{probes} probes), digest {digest:016x}"
+             ({hits}/{probes} probes), digest {live_digest:016x}"
         );
         if let Some(floor) = get::<f64>(flags, "min-post-mutation-hit-rate")? {
             if hit_rate < floor {
@@ -1103,7 +1025,7 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
         // … and every one of its values must be bit-identical to a cold
         // engine rebuilt from the final snapshot — surviving cache entries
         // are fast, never wrong.
-        let view = server.snapshot();
+        let view = engine.snapshot();
         let rebuilt = Engine::new(
             view.table().as_ref().clone(),
             view.prefs().as_ref().clone(),
@@ -1113,19 +1035,17 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
         let rebuilt_resp = rebuilt
             .run(Request::all_sky(QueryOptions::default().with_threads(Some(1))))
             .map_err(|e| e.to_string())?;
-        let rebuilt_digest = allsky_digest(
-            rebuilt_resp.outcome.value().as_all_sky().expect("all-sky request yields slots"),
-        );
-        if digest != rebuilt_digest {
+        let rebuilt_digest = digest(std::slice::from_ref(&rebuilt_resp.outcome));
+        if live_digest != rebuilt_digest {
             return Err(format!(
-                "post-mutation digest {digest:016x} differs from fresh-rebuild digest \
+                "post-mutation digest {live_digest:016x} differs from fresh-rebuild digest \
                  {rebuilt_digest:016x}: a write corrupted live state"
             ));
         }
         println!("post-mutation digest matches a fresh engine rebuilt from the final snapshot");
     }
     if tenants_n > 0 {
-        let m = server.metrics();
+        let m = engine.metrics();
         let tenant_probes: u64 = m.tenants.iter().map(|r| r.cache_probes).sum();
         let rate = m.cross_user_hit_rate();
         println!(
@@ -1136,15 +1056,13 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
         // handle for the namespacing ablation (equal digests across
         // shared and namespaced runs ⇔ namespacing shares less but never
         // answers differently).
-        let tenant_probe = server
+        let tenant_probe = engine
             .run(
                 Request::all_sky(QueryOptions::default().with_threads(Some(1)))
                     .with_tenant(TenantId(0)),
             )
             .map_err(|e| e.to_string())?;
-        let slots =
-            tenant_probe.outcome.value().as_all_sky().expect("all-sky request yields slots");
-        println!("tenant digest {:016x}", allsky_digest(slots));
+        println!("tenant digest {:016x}", digest(std::slice::from_ref(&tenant_probe.outcome)));
         if let Some(floor) = get::<f64>(flags, "min-cross-user-hit-rate")? {
             if rate < floor {
                 return Err(format!(
@@ -1153,9 +1071,9 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
             }
         }
     }
-    println!("{}", server.metrics());
+    println!("{}", engine.metrics());
     if let Some(path) = get::<PathBuf>(flags, "save-cache")? {
-        server.save_cache_snapshot(&path).map_err(|e| e.to_string())?;
+        engine.save_cache_snapshot(&path).map_err(|e| e.to_string())?;
         println!("cache snapshot saved to {}", path.display());
     }
     Ok(())
@@ -1187,6 +1105,23 @@ mod tests {
         assert!(e.contains("unknown command"));
         assert!(e.contains("usage"));
         assert!(run(&[]).is_err());
+        // Every command refuses the flags it does not read, before doing
+        // any work: a stale `--shards`, a misspelt exit-code gate and a
+        // made-up generator flag each fail with an error naming the flag.
+        let out = std::env::temp_dir().join("skyprob-unknown-flag.tbl");
+        for (argv, flag) in [
+            ("serve --table t.tbl --seed-prefs 9 --shards 2".to_owned(), "--shards"),
+            (
+                "serve --table t.tbl --seed-prefs 9 --min-warm-hit-rte 0.999".to_owned(),
+                "--min-warm-hit-rte",
+            ),
+            (format!("gen nursery --d 5 --out {} --bogus-flag 3", out.display()), "--bogus-flag"),
+        ] {
+            let args: Vec<String> = argv.split_whitespace().map(String::from).collect();
+            let e = run(&args).unwrap_err();
+            assert!(e.contains(&format!("unknown flag {flag}")), "{argv}: {e}");
+        }
+        assert!(!out.exists(), "gen ran despite the bad flag");
     }
 
     #[test]
