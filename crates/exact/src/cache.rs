@@ -20,7 +20,8 @@
 //! admission stops once the byte budget is spent (component populations in
 //! the duplicate-heavy regimes are tiny — tens of entries — so the budget
 //! is a safety rail against adversarial unbounded growth, not a
-//! working-set knob).
+//! working-set knob). An insert reserves its bytes with one atomic update
+//! that refuses past the cap, so concurrent inserts cannot overshoot it.
 //!
 //! ## Incremental invalidation
 //!
@@ -29,11 +30,13 @@
 //! every stored entry keeps meaning exactly what its bytes say, wherever
 //! those bytes recur in the new epoch. Only a *preference* edit strands
 //! entries: components embedding the edited coin's old bits can never be
-//! probed again (new requests serialize the new bits). A per-`(dim,
-//! value)` **reverse index**, maintained on insert, lets
-//! [`ComponentCache::evict_signature_touched`] reclaim exactly those
-//! entries instead of dropping the cache wholesale. Evicting a key whose
-//! old bits coincidentally match another live pair's bits is sound — equal
+//! probed again (new requests serialize the new bits).
+//! [`ComponentCache::evict_signature_touched`] reclaims exactly those
+//! entries instead of dropping the cache wholesale: it scans the shards one
+//! at a time and parses each key's coins back out of its bytes
+//! ([`signature_coins`]), so an edit costs O(entries) and the cache keeps
+//! no index beside its shards. Evicting a key whose old bits
+//! coincidentally match another live pair's bits is sound — equal
 //! signature bytes imply equal results, so the worst case is one
 //! recompute, never a wrong answer.
 
@@ -73,10 +76,6 @@ pub struct Eviction {
     pub bytes: u64,
 }
 
-/// Reverse-index map: `(dim, value)` → keys whose signature embeds a coin
-/// on that pair.
-type ReverseIndex = HashMap<(u32, u32), Vec<Box<[u8]>>>;
-
 /// Sharded concurrent map from canonical component signature to
 /// [`CacheEntry`]. Shared by reference across batch worker threads.
 #[derive(Debug)]
@@ -85,10 +84,6 @@ pub struct ComponentCache {
     hasher: RandomState,
     bytes: AtomicU64,
     byte_cap: u64,
-    /// Reverse index over signature coins. Registrations of keys evicted
-    /// through a *different* coin are cleaned lazily on the next scan of
-    /// their list.
-    rev: Mutex<ReverseIndex>,
 }
 
 impl Default for ComponentCache {
@@ -105,7 +100,6 @@ impl ComponentCache {
             hasher: RandomState::new(),
             bytes: AtomicU64::new(0),
             byte_cap: byte_cap as u64,
-            rev: Mutex::new(HashMap::new()),
         }
     }
 
@@ -122,28 +116,21 @@ impl ComponentCache {
     /// Insert a result; returns `true` if the entry was admitted (false
     /// once the byte budget is exhausted — existing entries stay valid
     /// until a preference edit strands them, new ones are simply not
-    /// remembered). Admitted keys are registered in the reverse index per
-    /// distinct `(dim, value)` coin of their signature.
+    /// remembered). The entry's bytes are reserved before the shard lock
+    /// is taken, so a full cache refuses without locking, and given back
+    /// if the key turns out to be present already.
     pub fn insert(&self, key: &[u8], entry: CacheEntry) -> bool {
         let cost = Self::entry_bytes(key);
-        if self.bytes.load(Ordering::Relaxed) + cost > self.byte_cap {
+        let reserve = |b: u64| (b + cost <= self.byte_cap).then_some(b + cost);
+        if self.bytes.fetch_update(Ordering::Relaxed, Ordering::Relaxed, reserve).is_err() {
             return false;
         }
-        {
-            let mut shard = self.shard(key).lock().unwrap_or_else(|e| e.into_inner());
-            if shard.contains_key(key) {
-                return false;
-            }
-            shard.insert(key.into(), entry);
-            self.bytes.fetch_add(cost, Ordering::Relaxed);
-            // The shard lock drops before the reverse-index lock is taken:
-            // eviction acquires them in the opposite order (rev, then
-            // shard), so holding both here could deadlock.
+        let mut shard = self.shard(key).lock().unwrap_or_else(|e| e.into_inner());
+        if shard.contains_key(key) {
+            self.bytes.fetch_sub(cost, Ordering::Relaxed);
+            return false;
         }
-        let mut rev = self.rev.lock().unwrap_or_else(|e| e.into_inner());
-        for (dim, value, _) in signature_coins(key) {
-            rev.entry((dim, value)).or_default().push(key.into());
-        }
+        shard.insert(key.into(), entry);
         true
     }
 
@@ -152,48 +139,44 @@ impl ComponentCache {
     /// preference edit on `dim` made stale-unreachable (callers pass each
     /// edited direction's value with its **pre-edit** probability bits).
     ///
-    /// Freed bytes return to the admission budget. Entries on the same
-    /// `(dim, value)` whose bits differ survive: the signature they carry
-    /// is still exactly what new requests serialize.
+    /// Visits the shards one at a time, under each shard's own lock, and
+    /// parses every key's coins, so the cost is O(entries) per call;
+    /// readers and inserters wait for at most one shard's scan. Freed
+    /// bytes return to the admission budget shard by shard. Entries on the
+    /// same `(dim, value)` whose bits differ survive: the signature they
+    /// carry is still exactly what new requests serialize.
     pub fn evict_signature_touched(&self, dim: u32, touched: &[(u32, u64)]) -> Eviction {
         let mut ev = Eviction::default();
-        let mut rev = self.rev.lock().unwrap_or_else(|e| e.into_inner());
-        for &(value, bits) in touched {
-            let Some(keys) = rev.remove(&(dim, value)) else { continue };
-            let mut survivors = Vec::with_capacity(keys.len());
-            for key in keys {
-                let stale = signature_coins(&key).any(|(d, v, b)| (d, v, b) == (dim, value, bits));
-                let mut shard = self.shard(&key).lock().unwrap_or_else(|e| e.into_inner());
+        for shard in &self.shards {
+            let mut shard = shard.lock().unwrap_or_else(|e| e.into_inner());
+            let mut freed = 0;
+            shard.retain(|key, _| {
+                let stale =
+                    signature_coins(key).any(|(d, v, b)| d == dim && touched.contains(&(v, b)));
                 if stale {
-                    if shard.remove(&key).is_some() {
-                        let cost = Self::entry_bytes(&key);
-                        self.bytes.fetch_sub(cost, Ordering::Relaxed);
-                        ev.entries += 1;
-                        ev.bytes += cost;
-                    }
-                } else if shard.contains_key(&key) {
-                    // Still live; keys already evicted via another coin's
-                    // list are dropped here (lazy cleanup).
-                    survivors.push(key);
+                    ev.entries += 1;
+                    freed += Self::entry_bytes(key);
                 }
-            }
-            if !survivors.is_empty() {
-                rev.insert((dim, value), survivors);
-            }
+                !stale
+            });
+            self.bytes.fetch_sub(freed, Ordering::Relaxed);
+            ev.bytes += freed;
         }
         ev
     }
 
-    /// Drop every entry and registration, returning all bytes to the
-    /// budget. This is the wholesale invalidation incremental eviction
-    /// replaces — kept as the ablation baseline and for callers that
-    /// deliberately want a cold cache.
+    /// Drop every entry, returning its bytes to the budget. This is the
+    /// wholesale invalidation incremental eviction replaces — kept as the
+    /// ablation baseline and for callers that deliberately want a cold
+    /// cache. Bytes are returned per dropped entry rather than reset, so a
+    /// concurrent insert's reservation stays counted.
     pub fn clear(&self) {
         for shard in &self.shards {
-            shard.lock().unwrap_or_else(|e| e.into_inner()).clear();
+            let mut shard = shard.lock().unwrap_or_else(|e| e.into_inner());
+            let freed: u64 = shard.keys().map(|k| Self::entry_bytes(k)).sum();
+            shard.clear();
+            self.bytes.fetch_sub(freed, Ordering::Relaxed);
         }
-        self.rev.lock().unwrap_or_else(|e| e.into_inner()).clear();
-        self.bytes.store(0, Ordering::Relaxed);
     }
 
     /// Bytes charged against the budget for one entry with this key.
@@ -306,23 +289,39 @@ mod tests {
         let other_bits = sig(&[(0, 7, 0.25f64.to_bits())]);
         let other_dim = sig(&[(1, 7, old)]);
         let unrelated = sig(&[(2, 2, 42)]);
-        for k in [&stale_a, &stale_b, &other_bits, &other_dim, &unrelated] {
+        // Tenant-namespaced keys carry an 8-byte namespace suffix after the
+        // signature, which the coin parse ignores.
+        let namespaced = |coins: &[(u32, u32, u64)]| {
+            let mut key = sig(coins);
+            key.extend_from_slice(&3u64.to_le_bytes());
+            key
+        };
+        let stale_tenant = namespaced(&[(2, 5, 8), (0, 7, old)]);
+        let other_tenant = namespaced(&[(0, 7, 0.25f64.to_bits())]);
+        let keys =
+            [&stale_a, &stale_b, &other_bits, &other_dim, &unrelated, &stale_tenant, &other_tenant];
+        for k in keys {
             assert!(cache.insert(k, entry));
         }
         let before = cache.bytes();
         let ev = cache.evict_signature_touched(0, &[(7, old)]);
-        assert_eq!(ev.entries, 2);
+        assert_eq!(ev.entries, 3);
         assert_eq!(
             ev.bytes,
-            ComponentCache::entry_bytes(&stale_a) + ComponentCache::entry_bytes(&stale_b)
+            [&stale_a, &stale_b, &stale_tenant]
+                .map(|k| ComponentCache::entry_bytes(k))
+                .iter()
+                .sum()
         );
         assert_eq!(cache.bytes(), before - ev.bytes);
-        assert_eq!(cache.len(), 3);
+        assert_eq!(cache.len(), 4);
         assert!(cache.get(&stale_a).is_none());
         assert!(cache.get(&stale_b).is_none());
+        assert!(cache.get(&stale_tenant).is_none());
         assert!(cache.get(&other_bits).is_some());
         assert!(cache.get(&other_dim).is_some());
         assert!(cache.get(&unrelated).is_some());
+        assert!(cache.get(&other_tenant).is_some());
         // Freed bytes are re-admittable.
         assert!(cache.insert(&stale_b, entry));
     }
@@ -331,13 +330,13 @@ mod tests {
     fn eviction_cleans_foreign_registrations_lazily() {
         let cache = ComponentCache::default();
         let entry = CacheEntry { sky_bits: 0, joints_computed: 0 };
-        // One key registered under both (0, 1) and (0, 2).
+        // One key embedding coins on both (0, 1) and (0, 2).
         let two_coins = sig(&[(0, 1, 11), (0, 2, 22)]);
         assert!(cache.insert(&two_coins, entry));
-        // Evict via the first coin; the (0, 2) registration is now dead.
+        // Evict via the first coin; the key is gone for the second too.
         assert_eq!(cache.evict_signature_touched(0, &[(1, 11)]).entries, 1);
         assert!(cache.is_empty());
-        // Scanning the second list must not double-free bytes.
+        // Evicting through the second coin must not double-free bytes.
         let ev = cache.evict_signature_touched(0, &[(2, 22)]);
         assert_eq!(ev, Eviction::default());
         assert_eq!(cache.bytes(), 0);
@@ -361,17 +360,31 @@ mod tests {
     #[test]
     fn shared_across_threads() {
         let cache = ComponentCache::default();
+        // A second cache with room for one 4-byte key. Every round releases
+        // the threads together to race for it, records what it holds once
+        // they are done, and empties it again.
+        let cap = ComponentCache::entry_bytes(&0u32.to_le_bytes());
+        let small = ComponentCache::with_byte_cap(cap as usize);
+        let (round, peak) = (std::sync::Barrier::new(4), AtomicU64::new(0));
         std::thread::scope(|scope| {
             for t in 0..4u32 {
-                let cache = &cache;
+                let (cache, small, round, peak) = (&cache, &small, &round, &peak);
                 scope.spawn(move || {
                     for i in 0..200u32 {
                         let key = (t * 1000 + i).to_le_bytes();
                         cache.insert(&key, CacheEntry { sky_bits: 1, joints_computed: 1 });
+                        round.wait();
+                        small.insert(&key, CacheEntry { sky_bits: 1, joints_computed: 1 });
+                        if round.wait().is_leader() {
+                            peak.fetch_max(small.bytes(), Ordering::Relaxed);
+                            small.clear();
+                        }
                     }
                 });
             }
         });
         assert_eq!(cache.len(), 800);
+        let peak = peak.into_inner();
+        assert!(peak <= cap, "{peak} bytes admitted under a {cap}-byte cap");
     }
 }

@@ -118,8 +118,8 @@ fn component_factor(
     // Tenant-namespaced scopes (the no-sharing ablation) suffix the key
     // with the namespace. Base signatures are uniquely decodable with no
     // trailing bytes, so the suffix cannot collide with any base key, and
-    // `signature_coins` ignores it, so reverse-index eviction still sees
-    // the embedded coins.
+    // `signature_coins` ignores it, so the eviction scan of a preference
+    // edit still sees the embedded coins.
     if scope.namespace() != 0 {
         s.sig.extend_from_slice(&scope.namespace().to_le_bytes());
     }

@@ -31,12 +31,13 @@
 //! `(dim, value, prob_bits)` coin triple an entry depends on. Inserting
 //! or removing an object changes no triple, so those writes evict
 //! **nothing** — every cached component stays reachable and correct.
-//! Editing a preference pair changes at most two triples; the cache's
-//! reverse index evicts exactly the entries whose signature embeds a
-//! touched coin and leaves the rest warm (the `(dim, value)` granularity
-//! can over-evict entries carrying other bits of the same coin — sound,
-//! at worst a miss). Entries keyed by the *old* bits that escape eviction
-//! are stale-unreachable garbage, never wrong answers.
+//! Editing a preference pair changes at most two triples; the cache scans
+//! its shards one at a time, parses each key's coins, and evicts exactly
+//! the entries whose signature embeds a touched coin with its old bits,
+//! leaving the rest warm. The scan reads every cached entry, so an edit
+//! costs O(cached entries). Entries keyed by the *old* bits that
+//! escape eviction (a concurrent old-epoch reader may insert one after
+//! the scan) are stale-unreachable garbage, never wrong answers.
 //! [`EngineOptions::incremental_invalidation`]` = false` swaps in the
 //! naive baseline (any write drops the whole cache) for A/B measurement.
 //!
@@ -453,8 +454,9 @@ impl<M: PreferenceModel + Sync> Engine<M> {
     ///
     /// The only write that strands cache entries: per direction whose
     /// probability bits actually changed, entries whose signature embeds
-    /// the touched `(dim, value)` coin are evicted via the cache's
-    /// reverse index (or the whole cache is dropped when
+    /// the touched `(dim, value)` coin with its pre-edit bits are evicted
+    /// by one scan over every cached entry, O(entries) under one shard
+    /// lock at a time (or the whole cache is dropped when
     /// [`EngineOptions::incremental_invalidation`] is off). The receipt
     /// carries the exact eviction counts.
     pub fn set_preference(
