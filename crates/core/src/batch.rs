@@ -357,17 +357,22 @@ impl BatchCoinContext {
         })
     }
 
-    /// Posting length of `(dim, value)` — how many rows carry `value` on
-    /// `dim` — or `None` if the value never occurs there. This is the
-    /// candidate count the write path uses to bound which targets an
-    /// edited preference pair can dirty.
-    pub fn value_count(&self, dim: DimId, value: ValueId) -> Option<usize> {
+    /// The rows carrying `value` on `dim`, ascending — empty when the value
+    /// never occurs there (or `dim` is out of range). These are the targets
+    /// the write path dirties when an edited preference pair changes the
+    /// coin that `value` faces.
+    pub fn value_rows(&self, dim: DimId, value: ValueId) -> &[u32] {
         let j = dim.index();
+        if j >= self.d {
+            return &[];
+        }
         let lo = self.offsets[j] as usize;
         let hi = self.offsets[j + 1] as usize;
-        let c = self.code_values[lo..hi].iter().position(|&w| w == value)?;
+        let Some(c) = self.code_values[lo..hi].iter().position(|&w| w == value) else {
+            return &[];
+        };
         let flat = lo + c;
-        Some((self.post_off[flat + 1] - self.post_off[flat]) as usize)
+        &self.post_rows[self.post_off[flat] as usize..self.post_off[flat + 1] as usize]
     }
 
     /// The targets row `attacker` can possibly attack under `prefs`: every

@@ -92,7 +92,10 @@ pub mod prelude {
     };
     pub use crate::coins::{Attacker, CoinKey, CoinRemap, CoinView, SYNTHETIC_SOURCE};
     pub use crate::dominance::{differing_dims, dominates_in_world, pr_dominates};
-    pub use crate::epoch::{DatasetEpoch, SnapshotView, TouchedCoin, WriteEffects};
+    pub use crate::epoch::{
+        AnswerStore, DatasetEpoch, PreparedShape, SnapshotView, StoredAnswer, TouchedCoin,
+        WriteEffects,
+    };
     pub use crate::error::{CoreError, Result};
     pub use crate::pool::{num_threads, ThreadBudget, ThreadLease};
     pub use crate::preference::{

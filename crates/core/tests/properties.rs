@@ -27,8 +27,136 @@ fn table_strategy() -> impl Strategy<Value = Table> {
     })
 }
 
+/// One write against a live epoch; small raw indices, resolved against
+/// the table at hand.
+#[derive(Debug, Clone)]
+enum Write {
+    Insert(Vec<u32>),
+    Remove(usize),
+    Pref { dim: usize, a: u32, b: u32, forward: f64, backward: f64 },
+}
+
+fn write_strategy() -> impl Strategy<Value = Write> {
+    // Values range over 0..5 against the tables' 0..4, so a write may also
+    // insert or edit a value the table does not carry; probabilities hit 0
+    // and 1, where attackers appear in or vanish from pruned views.
+    const PROBS: [f64; 4] = [0.0, 0.25, 0.5, 1.0];
+    (0u8..3, proptest::collection::vec(0u32..5, 4), 0usize..16, (0u32..5, 0u32..4), 0usize..16)
+        .prop_map(|(kind, values, i, (a, b), probs)| match kind {
+            0 => Write::Insert(values),
+            1 => Write::Remove(i),
+            _ => {
+                let forward = PROBS[probs % 4];
+                Write::Pref {
+                    dim: i,
+                    a,
+                    b: if b >= a { b + 1 } else { b },
+                    forward,
+                    backward: PROBS[probs / 4].min(1.0 - forward),
+                }
+            }
+        })
+}
+
+/// Per attacker in order: its source row and its coins as
+/// `(dim, value, probability bits)`.
+type CompactedView = Vec<(u32, Vec<(u32, u32, u64)>)>;
+
+/// `target`'s view after impossible-coin pruning and coin compaction, with
+/// coins named by content so that neither coin numbering nor the
+/// dense-vs-sparse assembly path shows.
+fn compacted_view<M: PreferenceModel>(
+    ctx: &BatchCoinContext,
+    prefs: &M,
+    target: ObjectId,
+) -> CompactedView {
+    let mut view = CoinView::empty();
+    ctx.view_into(prefs, target, &mut BatchScratch::default(), &mut view).unwrap();
+    view.prune_impossible();
+    let all: Vec<usize> = (0..view.n_attackers()).collect();
+    let mut compact = CoinView::empty();
+    view.restrict_into(&all, &mut CoinRemap::default(), &mut compact);
+    (0..compact.n_attackers())
+        .map(|i| {
+            let coins = compact
+                .attacker_coins(i)
+                .iter()
+                .map(|&k| {
+                    let key = compact.coin_key(k).expect("table coins carry keys");
+                    (key.dim.0, key.value.0, compact.coin_prob(k).to_bits())
+                })
+                .collect();
+            (compact.source(i).0, coins)
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The invariant an epoch's answer store rests on: after one insert,
+    /// removal or preference edit, every target outside the write's
+    /// dirtied set keeps its pruned, coin-compacted view (a removal shifts
+    /// later ids down by one), so its stored answer stays exact. The set
+    /// is strictly ascending, so its size is the dirtied count a commit
+    /// reports; for an insert or removal it is exactly the targets whose
+    /// view gains or loses the row.
+    #[test]
+    fn writes_keep_the_view_of_every_undirtied_target(
+        table in table_strategy(),
+        seed in any::<u64>(),
+        law in 0usize..4,
+        write in write_strategy(),
+    ) {
+        let d = table.dimensionality();
+        let law = [
+            PairLaw::Complementary,
+            PairLaw::Simplex,
+            PairLaw::CertainCoin,
+            PairLaw::CertainAscending,
+        ][law];
+        let before = DatasetEpoch::build(table.clone(), SeededPreferences::new(seed, law)).unwrap();
+        let is_pref = matches!(write, Write::Pref { .. });
+        let (after, effects, removed) = match write {
+            Write::Insert(values) => {
+                let values: Vec<ValueId> = values[..d].iter().map(|&v| ValueId(v)).collect();
+                let Ok((after, fx)) = before.insert_object(&values) else {
+                    // A duplicate row is refused and installs nothing.
+                    return Ok(());
+                };
+                (after, fx, None)
+            }
+            Write::Remove(i) => {
+                let obj = ObjectId((i % table.len()) as u32);
+                let (after, fx) = before.remove_object(obj).unwrap();
+                (after, fx, Some(obj))
+            }
+            Write::Pref { dim, a, b, forward, backward } => {
+                let dim = DimId((dim % d) as u32);
+                let (after, fx) =
+                    before.set_preference(dim, ValueId(a), ValueId(b), forward, backward).unwrap();
+                (after, fx, None)
+            }
+        };
+        let dirtied = &effects.dirtied_targets;
+        prop_assert!(dirtied.windows(2).all(|w| w[0] < w[1]), "{dirtied:?}");
+        prop_assert!(dirtied.iter().all(|t| t.index() < before.n_objects()));
+        prop_assert!(removed.is_none_or(|r| !dirtied.contains(&r)));
+        let shift = |o: u32| match removed {
+            Some(r) if o > r.0 => o - 1,
+            _ => o,
+        };
+        for t in table.objects().filter(|&t| Some(t) != removed) {
+            let old = compacted_view(before.ctx(), before.prefs().as_ref(), t);
+            let old: Vec<_> = old.into_iter().map(|(src, coins)| (shift(src), coins)).collect();
+            let new = compacted_view(after.ctx(), after.prefs().as_ref(), ObjectId(shift(t.0)));
+            if dirtied.binary_search(&t).is_err() {
+                prop_assert_eq!(&new, &old, "undirtied target {} changed its view", t);
+            } else if !is_pref {
+                prop_assert_ne!(&new, &old, "dirtied target {} kept its view", t);
+            }
+        }
+    }
 
     #[test]
     fn seeded_models_satisfy_the_contract(

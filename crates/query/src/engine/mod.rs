@@ -29,6 +29,7 @@ use std::time::Instant;
 
 use presky_core::batch::BatchCoinContext;
 use presky_core::coins::CoinView;
+use presky_core::epoch::AnswerStore;
 use presky_core::pool::ThreadBudget;
 use presky_core::preference::PreferenceModel;
 use presky_core::table::Table;
@@ -71,17 +72,33 @@ pub use sensitivity::{
 /// multi-tenant bench measures against. Neither field affects computed
 /// values — the cache is content-addressed, so scoping only moves *where*
 /// hits land, never what a solve returns.
+///
+/// An attached **answer store** (the pinned epoch's
+/// [`AnswerStore`]) records every exact answer [`sky_one_resident`] and
+/// [`all_sky_resident`] compute, and lets [`sky_one_resident`] answer a
+/// stored target without running the pipeline when its policy would plan
+/// the stored shape exact. The caller attaches it only where every answer
+/// the request can compute is the epoch's base answer: no tenant overlay,
+/// or a single target no overlay pair touches.
 #[derive(Debug, Clone, Copy)]
 pub struct CacheScope<'a> {
     cache: &'a ComponentCache,
     mask: Option<&'a CoinMask>,
     namespace: u64,
+    answers: Option<&'a AnswerStore>,
 }
 
 impl<'a> CacheScope<'a> {
-    /// Scope `cache` with no mask and the shared (zero) namespace.
+    /// Scope `cache` with no mask, the shared (zero) namespace and no
+    /// answer store.
     pub fn new(cache: &'a ComponentCache) -> Self {
-        Self { cache, mask: None, namespace: 0 }
+        Self { cache, mask: None, namespace: 0, answers: None }
+    }
+
+    /// Chainable: attach (or detach) the pinned epoch's answer store.
+    pub fn with_answers(mut self, answers: Option<&'a AnswerStore>) -> Self {
+        self.answers = answers;
+        self
     }
 
     /// Chainable: classify hits against the overlay-touched coin set.
@@ -103,6 +120,10 @@ impl<'a> CacheScope<'a> {
 
     pub(crate) fn namespace(&self) -> u64 {
         self.namespace
+    }
+
+    pub(crate) fn answers(&self) -> Option<&'a AnswerStore> {
+        self.answers
     }
 
     /// Whether a hit on the key `sig` is a base-signature (cross-user
@@ -262,6 +283,12 @@ pub struct PipelineStats {
     pub cache_insertions: u64,
     /// Bytes (keys + entries) admitted into the cache by this worker.
     pub cache_bytes: u64,
+    /// Single-target reads answered from the epoch's answer store. No
+    /// Prepare, Plan or Execute runs for them; only `joints_computed`
+    /// re-adds the joints of the stored solve.
+    pub store_hits: u64,
+    /// Exact answers recorded into the epoch's answer store.
+    pub store_records: u64,
     /// Worlds drawn by the samplers (fixed-budget and sequential).
     pub samples_drawn: u64,
     /// Lazy coin draws performed by the fixed-budget sampler.
@@ -299,6 +326,8 @@ impl PipelineStats {
         self.cache_base_hits += other.cache_base_hits;
         self.cache_insertions += other.cache_insertions;
         self.cache_bytes += other.cache_bytes;
+        self.store_hits += other.store_hits;
+        self.store_records += other.store_records;
         self.samples_drawn += other.samples_drawn;
         self.coin_draws += other.coin_draws;
         self.attacker_checks += other.attacker_checks;
@@ -384,22 +413,8 @@ impl fmt::Display for PipelineStats {
 
 // ------------------------------------------------------------ entry points
 
-/// Prepare, plan and execute one preassembled `s.view`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn solve_view(
-    object: ObjectId,
-    algo: Algorithm,
-    budget: EngineBudget,
-    prep: PrepareOptions,
-    s: &mut SkyScratch,
-    stats: &mut PipelineStats,
-    cache: Option<CacheScope<'_>>,
-    pool: Option<&Arc<ThreadBudget>>,
-) -> Result<SkyResult> {
-    solve_view_explained(object, algo, budget, prep, s, stats, cache, pool).map(|(r, _)| r)
-}
-
-/// [`solve_view`] returning the chosen [`Plan`] alongside the result.
+/// Prepare, plan and execute one preassembled `s.view`, returning the
+/// chosen [`Plan`] alongside the result.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn solve_view_explained(
     object: ObjectId,
@@ -500,10 +515,28 @@ pub(crate) fn solve_batch_one<M: PreferenceModel>(
     cache: Option<CacheScope<'_>>,
     pool: Option<&Arc<ThreadBudget>>,
 ) -> Result<SkyResult> {
+    solve_batch_one_explained(ctx, prefs, target, algo, budget, prep, scratch, stats, cache, pool)
+        .map(|(r, _)| r)
+}
+
+/// [`solve_batch_one`] returning the chosen [`Plan`] alongside the result.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn solve_batch_one_explained<M: PreferenceModel>(
+    ctx: &BatchCoinContext,
+    prefs: &M,
+    target: ObjectId,
+    algo: Algorithm,
+    budget: EngineBudget,
+    prep: PrepareOptions,
+    scratch: &mut SkyScratch,
+    stats: &mut PipelineStats,
+    cache: Option<CacheScope<'_>>,
+    pool: Option<&Arc<ThreadBudget>>,
+) -> Result<(SkyResult, Plan)> {
     let t0 = Instant::now();
     ctx.view_into(prefs, target, &mut scratch.batch, &mut scratch.view)?;
     stats.prepare_nanos += t0.elapsed().as_nanos() as u64;
-    solve_view(target, algo, budget, prep, scratch, stats, cache, pool)
+    solve_view_explained(target, algo, budget, prep, scratch, stats, cache, pool)
 }
 
 /// Decide `sky(target) ≥ τ` on a preassembled `s.view`: Prepare with the

@@ -17,6 +17,7 @@
 use std::fmt;
 
 use presky_approx::sampler::SamOptions;
+use presky_core::epoch::PreparedShape;
 use presky_exact::det::DetOptions;
 use presky_exact::partition::PartitionScratch;
 
@@ -133,6 +134,42 @@ pub fn component_sizes(partition: &PartitionScratch) -> Vec<usize> {
     (0..partition.n_groups()).map(|g| partition.group(g).len()).collect()
 }
 
+/// The numbers the planner reads off the prepared target in `s`.
+pub(crate) fn prepared_shape(s: &SkyScratch) -> PreparedShape {
+    PreparedShape {
+        largest: largest_component(&s.partition),
+        exact_cost: exact_cost(&s.partition),
+        attackers: s.work.n_attackers(),
+        coins: s.work.n_coins(),
+    }
+}
+
+/// The adaptive policy's sampling side of the ledger: the sampler's own
+/// predicted cost under the configured kernel (bit-parallel batching makes
+/// sampling ~64× cheaper per world, so the break-even point genuinely
+/// depends on the kernel), floored at `1 << 22` so small instances stay on
+/// the exact path even under tiny sampling budgets.
+fn adaptive_sample_cost(sam: SamOptions, shape: &PreparedShape) -> u64 {
+    sam.predicted_cost(shape.attackers, shape.coins).max(1 << 22)
+}
+
+/// Whether `algo` plans a prepared target of `shape` exact. This is the
+/// decision [`plan`] makes; the answer store replays it on the shape it
+/// recorded, so a stored exact answer is only reused where the request's
+/// own policy would have solved exactly.
+pub(crate) fn plans_exact(algo: Algorithm, shape: &PreparedShape) -> bool {
+    match algo {
+        Algorithm::Exact { .. } => true,
+        Algorithm::Sampling(_) => false,
+        // Exact inclusion–exclusion costs up to 2^|g| subset terms per
+        // component; it must fit the size limit and undercut the sampler.
+        Algorithm::Adaptive { exact_component_limit, sam } => {
+            shape.largest <= exact_component_limit
+                && shape.exact_cost <= adaptive_sample_cost(sam, shape)
+        }
+    }
+}
+
 /// Decide the plan for the prepared target in `s` under `algo`.
 ///
 /// The request budget is stamped into whichever engine options the plan
@@ -147,56 +184,36 @@ pub(crate) fn plan(
     stats: &mut PipelineStats,
 ) -> Plan {
     let t0 = std::time::Instant::now();
+    let shape = prepared_shape(s);
+    let exact = |det: DetOptions, reason| Plan::Exact {
+        det: budget.stamp_det(det),
+        components: s.partition.n_groups(),
+        largest: shape.largest,
+        component_sizes: component_sizes(&s.partition),
+        exact_cost: shape.exact_cost,
+        cached: 0,
+        reason,
+    };
     let decided = match algo {
-        Algorithm::Exact { det } => Plan::Exact {
-            det: budget.stamp_det(det),
-            components: s.partition.n_groups(),
-            largest: largest_component(&s.partition),
-            component_sizes: component_sizes(&s.partition),
-            exact_cost: exact_cost(&s.partition),
-            cached: 0,
-            reason: PlanReason::Forced,
-        },
+        Algorithm::Exact { det } => exact(det, PlanReason::Forced),
         Algorithm::Sampling(sam) => Plan::Sample {
             sam: budget.stamp_sam(sam),
-            predicted_cost: sam.predicted_cost(s.work.n_attackers(), s.work.n_coins()),
+            predicted_cost: sam.predicted_cost(shape.attackers, shape.coins),
             reason: PlanReason::Forced,
         },
-        Algorithm::Adaptive { exact_component_limit, sam } => {
-            let largest = largest_component(&s.partition);
-            // Exact inclusion–exclusion costs up to 2^|g| subset terms per
-            // component; the sampler's side of the ledger is its own
-            // predicted cost under the configured kernel (bit-parallel
-            // batching makes sampling ~64× cheaper per world, so the
-            // break-even point genuinely depends on the kernel). The
-            // `1 << 22` floor keeps small instances on the exact path even
-            // under tiny sampling budgets.
-            let lattice = exact_cost(&s.partition);
-            let sample_cost =
-                sam.predicted_cost(s.work.n_attackers(), s.work.n_coins()).max(1 << 22);
-            if largest <= exact_component_limit && lattice <= sample_cost {
-                Plan::Exact {
-                    det: budget
-                        .stamp_det(DetOptions::default().with_max_attackers(exact_component_limit)),
-                    components: s.partition.n_groups(),
-                    largest,
-                    component_sizes: component_sizes(&s.partition),
-                    exact_cost: lattice,
-                    cached: 0,
-                    reason: PlanReason::CostModel,
-                }
+        Algorithm::Adaptive { exact_component_limit, .. } if plans_exact(algo, &shape) => exact(
+            DetOptions::default().with_max_attackers(exact_component_limit),
+            PlanReason::CostModel,
+        ),
+        Algorithm::Adaptive { exact_component_limit, sam } => Plan::Sample {
+            sam: budget.stamp_sam(sam),
+            predicted_cost: adaptive_sample_cost(sam, &shape),
+            reason: if shape.largest > exact_component_limit {
+                PlanReason::ComponentTooLarge
             } else {
-                Plan::Sample {
-                    sam: budget.stamp_sam(sam),
-                    predicted_cost: sample_cost,
-                    reason: if largest > exact_component_limit {
-                        PlanReason::ComponentTooLarge
-                    } else {
-                        PlanReason::CostModel
-                    },
-                }
-            }
-        }
+                PlanReason::CostModel
+            },
+        },
     };
     match decided {
         Plan::Exact { .. } => stats.plan_exact += 1,

@@ -21,16 +21,27 @@
 //! With `EngineBudget::default()` (unlimited) the outputs are bit-identical
 //! to the corresponding one-shot entry points, proptest-guarded in
 //! `crates/query/tests/properties.rs` and the service-layer stress tests.
+//!
+//! When the [`CacheScope`] carries the pinned epoch's answer store,
+//! [`sky_one_resident`] and [`all_sky_resident`] record every exact answer
+//! they compute in it, and [`sky_one_resident`] serves a stored target
+//! after admission without running the pipeline — only where its own
+//! policy would plan the stored shape exact (see `reusable`). All-sky,
+//! threshold and top-k still compute every target.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use presky_core::batch::BatchCoinContext;
+use presky_core::epoch::{AnswerStore, PreparedShape, StoredAnswer};
 use presky_core::pool::ThreadBudget;
 use presky_core::preference::PreferenceModel;
 use presky_core::types::ObjectId;
 
 use presky_approx::sampler::SamOptions;
+use presky_exact::det::DetOptions;
 
+use super::plan::{self, Plan};
 use super::{CacheScope, EngineBudget, PipelineStats, PrepareOptions, SkyScratch};
 use crate::error::Result;
 use crate::prob_skyline::{reseed, Algorithm, QueryOptions, SkyResult};
@@ -162,11 +173,12 @@ pub fn all_sky_resident<M: PreferenceModel + Sync>(
     let threads = super::effective_threads(opts.threads, n);
     let spare = presky_core::num_threads(opts.threads).saturating_sub(threads);
     let prep = PrepareOptions::default().with_component_cache(opts.component_cache);
+    let answers = answer_store(opts, cache);
     let ledger = Ledger::new(&budget);
     let (results, stats) = super::run_chunked(n, threads, spare, |i, scratch, stats, pool| {
         run_budgeted(&ledger, &budget, stats, |per_object, stats| {
             let algo = reseed(opts.algorithm, i as u64);
-            super::solve_batch_one(
+            solve_recorded(
                 ctx,
                 prefs,
                 ObjectId::from(i),
@@ -177,6 +189,7 @@ pub fn all_sky_resident<M: PreferenceModel + Sync>(
                 stats,
                 cache,
                 Some(pool),
+                answers,
             )
         })
     });
@@ -188,6 +201,10 @@ pub fn all_sky_resident<M: PreferenceModel + Sync>(
 ///
 /// Deliberately *not* seed-decorrelated: with an unlimited budget the
 /// value is bit-identical to the one-shot `sky_one` of the same policy.
+/// A target stored in the scope's answer store is answered from it once
+/// admitted, where this request's policy would plan the stored shape exact
+/// and its joint allowance covers the stored solve; the stored logical
+/// joints are re-added, as a component-cache hit does.
 pub fn sky_one_resident<M: PreferenceModel>(
     ctx: &BatchCoinContext,
     prefs: &M,
@@ -197,6 +214,7 @@ pub fn sky_one_resident<M: PreferenceModel>(
     budget: EngineBudget,
 ) -> Result<ResidentOutcome<SkyResult>> {
     let prep = PrepareOptions::default().with_component_cache(opts.component_cache);
+    let answers = answer_store(opts, cache);
     let ledger = Ledger::new(&budget);
     let mut scratch = SkyScratch::default();
     let mut stats = PipelineStats::default();
@@ -204,7 +222,17 @@ pub fn sky_one_resident<M: PreferenceModel>(
     // the caller's own is spare, available to the parallel DFS.
     let pot = ThreadBudget::new(presky_core::num_threads(opts.threads).saturating_sub(1));
     let result = run_budgeted(&ledger, &budget, &mut stats, |per_object, stats| {
-        super::solve_batch_one(
+        let stored = answers.and_then(|store| store.get(target));
+        if let Some(answer) = stored.filter(|a| reusable(opts.algorithm, per_object, a)) {
+            stats.store_hits += 1;
+            stats.joints_computed += answer.joints;
+            return Ok(SkyResult {
+                object: target,
+                sky: f64::from_bits(answer.sky_bits),
+                exact: true,
+            });
+        }
+        solve_recorded(
             ctx,
             prefs,
             target,
@@ -215,9 +243,75 @@ pub fn sky_one_resident<M: PreferenceModel>(
             stats,
             cache,
             Some(&pot),
+            answers,
         )
     })?;
     Ok(ResidentOutcome { results: vec![result], stats, truncated: ledger.truncated.into_inner() })
+}
+
+/// The answer store a request may use: the scope's, unless the request
+/// opted out of caching (`--no-component-cache` measures cold work).
+fn answer_store<'a>(opts: QueryOptions, cache: Option<CacheScope<'a>>) -> Option<&'a AnswerStore> {
+    cache.and_then(|scope| scope.answers()).filter(|_| opts.component_cache)
+}
+
+/// One target through the batch pipeline; an exact answer computed with
+/// the default value-defining options (or a short-circuit) is recorded in
+/// `answers` with its prepared shape and logical joints.
+#[allow(clippy::too_many_arguments)]
+fn solve_recorded<M: PreferenceModel>(
+    ctx: &BatchCoinContext,
+    prefs: &M,
+    target: ObjectId,
+    algo: Algorithm,
+    budget: EngineBudget,
+    prep: PrepareOptions,
+    scratch: &mut SkyScratch,
+    stats: &mut PipelineStats,
+    cache: Option<CacheScope<'_>>,
+    pool: Option<&Arc<ThreadBudget>>,
+    answers: Option<&AnswerStore>,
+) -> Result<SkyResult> {
+    let joints_before = stats.joints_computed;
+    let (result, decided) = super::solve_batch_one_explained(
+        ctx, prefs, target, algo, budget, prep, scratch, stats, cache, pool,
+    )?;
+    let shape = match &decided {
+        Plan::ShortCircuit => Some(PreparedShape::default()),
+        Plan::Exact { det, .. } if default_values(det) => Some(plan::prepared_shape(scratch)),
+        _ => None,
+    };
+    if let (Some(store), Some(shape)) = (answers, shape) {
+        let joints = stats.joints_computed - joints_before;
+        if store.record(target, StoredAnswer { sky_bits: result.sky.to_bits(), joints, shape }) {
+            stats.store_records += 1;
+        }
+    }
+    Ok(result)
+}
+
+/// Whether a stored exact `answer` is what `algo` computes for its target
+/// under `budget`: the planner decides the stored shape exact (the same
+/// [`plan::plans_exact`] the pipeline runs), the exact engine accepts the
+/// shape with the options every stored value was computed under, and the
+/// joint allowance covers the joints the solve took.
+fn reusable(algo: Algorithm, budget: EngineBudget, answer: &StoredAnswer) -> bool {
+    let (engine_accepts, det_joints) = match algo {
+        Algorithm::Exact { det } => {
+            (default_values(&det) && answer.shape.largest <= det.max_attackers, det.max_joints)
+        }
+        _ => (true, None),
+    };
+    let affordable =
+        [budget.max_joints, det_joints].into_iter().flatten().all(|m| answer.joints <= m);
+    engine_accepts && affordable && plan::plans_exact(algo, &answer.shape)
+}
+
+/// Whether `det` computes the default bits. Turning zero- or
+/// covered-subtree pruning off changes a value's rounding, so answers
+/// computed that way are neither recorded nor served.
+fn default_values(det: &DetOptions) -> bool {
+    det.prune_zero && det.prune_covered
 }
 
 /// Threshold membership for every object against a resident context.

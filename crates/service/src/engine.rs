@@ -25,6 +25,19 @@
 //! *retires* — counted in [`MetricsSnapshot::epochs_retired`] — when its
 //! last pinned reader drains.
 //!
+//! Each epoch also carries an [`AnswerStore`]: every exact per-target
+//! answer the resident drivers compute on it is recorded once, and a
+//! repeated `SkyOne` read is answered from it after admission, with no
+//! Prepare, when the request's own policy would plan the stored shape
+//! exact. A commit carries the store into the next epoch minus the targets
+//! the write dirtied ([`CommitReceipt::dirtied_targets`] counts them; a
+//! removal also shifts later slots down), an O(n) copy per write.
+//! Untenanted requests read it (`SkyOne`) and fill it (`SkyOne` and
+//! all-sky). A tenanted `SkyOne` uses it only for a target none of its
+//! overlay pairs touches, and never under
+//! [`EngineOptions::tenant_namespacing`]. All-sky, threshold and top-k
+//! still compute every target.
+//!
 //! ## Incremental cache invalidation
 //!
 //! The component cache is content-addressed: keys embed every
@@ -65,7 +78,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use presky_core::batch::BatchCoinContext;
-use presky_core::epoch::{DatasetEpoch, SnapshotView, WriteEffects};
+use presky_core::epoch::{AnswerStore, DatasetEpoch, SnapshotView, WriteEffects};
 use presky_core::preference::{DeltaOverlay, PreferenceModel};
 use presky_core::table::Table;
 use presky_core::types::{DimId, ObjectId, ValueId};
@@ -174,8 +187,9 @@ pub struct CommitReceipt {
     /// The epoch id this write installed (readers admitted after the
     /// commit pin this id or later).
     pub epoch: u64,
-    /// Targets whose coin view the write changed (see
-    /// [`WriteEffects::dirtied_targets`]).
+    /// Targets whose coin view the write may change (the size of
+    /// [`WriteEffects::dirtied_targets`]); their stored answers are not
+    /// carried into the new epoch.
     pub dirtied_targets: usize,
     /// Component-cache entries evicted by invalidation.
     pub evicted_components: u64,
@@ -506,7 +520,7 @@ impl<M: PreferenceModel + Sync> Engine<M> {
         self.metrics.evicted_bytes.fetch_add(evicted.bytes, Ordering::Relaxed);
         Ok(CommitReceipt {
             epoch,
-            dirtied_targets: effects.dirtied_targets,
+            dirtied_targets: effects.dirtied_targets.len(),
             evicted_components: evicted.entries,
             evicted_bytes: evicted.bytes,
         })
@@ -662,7 +676,9 @@ impl<M: PreferenceModel + Sync> Engine<M> {
 
         let admitted_at = Instant::now();
         let budget = request.budget.to_engine_budget(admitted_at);
-        let scope = self.scope_for(overlay, request.tenant);
+        let scope = self
+            .scope_for(overlay, request.tenant)
+            .with_answers(self.answers_for(request, epoch, overlay));
         let ctx = epoch.ctx().as_ref();
         // The two arms below monomorphize `dispatch` separately; an empty
         // (or absent) overlay takes the *same* instantiation untenanted
@@ -680,6 +696,9 @@ impl<M: PreferenceModel + Sync> Engine<M> {
         self.metrics.merge_stats(&stats);
         self.count_tenant_stats(request.tenant, &stats);
         inc(&self.metrics.completed);
+        if matches!(request.query, Query::SkyOne { .. }) {
+            inc(&self.metrics.single_reads);
+        }
         let outcome = Outcome::classify(value, truncated);
         if !outcome.complete() {
             inc(&self.metrics.deadline_misses);
@@ -705,6 +724,29 @@ impl<M: PreferenceModel + Sync> Engine<M> {
             }
         }
         scope
+    }
+
+    /// The pinned epoch's answer store, where every answer the request can
+    /// compute is the epoch's base answer: untenanted and empty-overlay
+    /// requests always; a tenanted single-target read only when none of
+    /// its overlay pairs touches the target, and never under
+    /// [`EngineOptions::tenant_namespacing`].
+    fn answers_for<'a>(
+        &self,
+        request: &Request,
+        epoch: &'a DatasetEpoch<M>,
+        overlay: Option<&TenantState>,
+    ) -> Option<&'a AnswerStore> {
+        let base_answers = match overlay {
+            None => true,
+            Some(_) if self.opts.tenant_namespacing => false,
+            Some(state) => {
+                state.delta.is_empty()
+                    || matches!(request.query, Query::SkyOne { target, .. }
+                        if !state.touches(epoch.ctx(), target))
+            }
+        };
+        base_answers.then(|| epoch.answers())
     }
 
     /// Fold one tenanted execution's cache traffic into the per-tenant
@@ -784,6 +826,7 @@ impl<M: PreferenceModel + Sync> Engine<M> {
             cache_entries: self.cache.len(),
             cache_bytes: self.cache.bytes(),
             cross_user_hits: get(&self.metrics.cross_user_hits),
+            single_reads: get(&self.metrics.single_reads),
             tenants: self.metrics.tenants_snapshot(),
         }
     }
@@ -1148,6 +1191,51 @@ mod tests {
         assert_eq!(m.deadline_misses, 1);
         assert_eq!(m.in_flight, 0);
         assert_eq!(m.failed, 0);
+    }
+
+    #[test]
+    fn answer_store_serves_repeated_single_target_reads() {
+        let e = engine(EngineOptions::default());
+        let one = |t: u32| {
+            let r = e.run(Request::sky_one(ObjectId(t), QueryOptions::default())).unwrap();
+            (*r.outcome.value().as_sky().unwrap(), r.stats)
+        };
+        // A cold read computes and records; the repeat is served from the
+        // store with the same bits and the same logical joints.
+        let (cold, cold_stats) = one(0);
+        assert_eq!((cold_stats.store_hits, cold_stats.store_records), (0, 1));
+        let (warm, warm_stats) = one(0);
+        assert_eq!((warm_stats.store_hits, warm_stats.store_records), (1, 0));
+        assert_eq!(warm.sky.to_bits(), cold.sky.to_bits());
+        assert!(warm.exact);
+        assert_eq!(warm_stats.joints_computed, cold_stats.joints_computed);
+        assert_eq!(warm_stats.objects, 0, "a stored answer skips the pipeline");
+        // All-sky records the four other targets but reads none.
+        let all = e.run(Request::all_sky(QueryOptions::default())).unwrap();
+        assert_eq!((all.stats.store_hits, all.stats.store_records), (0, 4));
+        one(3);
+        let m = e.metrics();
+        assert_eq!((m.stats.store_hits, m.stats.store_records, m.single_reads), (2, 5, 3));
+        assert!((m.store_reuse_share() - 2.0 / 3.0).abs() < 1e-12);
+
+        // The edit on dim 0 dirties every row valued 0 or 1 there; row 3
+        // (valued 2) keeps its answer into the next epoch.
+        let receipt = e.set_preference(DimId(0), ValueId(0), ValueId(1), 0.9, 0.05).unwrap();
+        assert_eq!(receipt.dirtied_targets, 4);
+        let (kept, kept_stats) = one(3);
+        assert_eq!(kept_stats.store_hits, 1);
+        let (_, recomputed) = one(0);
+        assert_eq!((recomputed.store_hits, recomputed.store_records), (0, 1));
+        let view = e.snapshot();
+        let fresh = Engine::new(
+            view.table().as_ref().clone(),
+            view.prefs().as_ref().clone(),
+            EngineOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(all_sky_bits(&fresh)[3], kept.sky.to_bits());
+        let m = e.metrics();
+        assert_eq!((m.stats.store_hits, m.stats.store_records, m.single_reads), (3, 6, 5));
     }
 
     #[test]

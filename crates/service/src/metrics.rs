@@ -42,6 +42,8 @@ pub(crate) struct Metrics {
     /// entries — the cross-user shared ones (see
     /// [`MetricsSnapshot::cross_user_hits`]).
     pub(crate) cross_user_hits: AtomicU64,
+    /// Completed single-target `SkyOne` requests.
+    pub(crate) single_reads: AtomicU64,
     /// Per-tenant counters, keyed by tenant id.
     tenants: Mutex<HashMap<u64, TenantMetrics>>,
     /// Pipeline counters merged across every completed request.
@@ -164,6 +166,10 @@ pub struct MetricsSnapshot {
     /// overlay-touched (tenant-private) components are counted in
     /// `stats.cache_hits` but not here.
     pub cross_user_hits: u64,
+    /// Completed single-target (`SkyOne`) requests. `stats.store_hits` of
+    /// them were answered from the pinned epoch's answer store, and
+    /// `stats.store_records` counts the exact answers recorded there.
+    pub single_reads: u64,
     /// Per-tenant counters, sorted by tenant id. Only tenants that have
     /// submitted at least one request appear.
     pub tenants: Vec<TenantMetrics>,
@@ -194,6 +200,16 @@ impl MetricsSnapshot {
         }
     }
 
+    /// Single-target reads answered from the answer store, as a fraction
+    /// of completed single-target reads (0 when none completed).
+    pub fn store_reuse_share(&self) -> f64 {
+        if self.single_reads == 0 {
+            0.0
+        } else {
+            self.stats.store_hits as f64 / self.single_reads as f64
+        }
+    }
+
     /// Fold another engine's snapshot into this one — how a caller that
     /// builds several engines over a run (one per pass, say) reports
     /// totals. Counters and pipeline stats are additive
@@ -220,6 +236,7 @@ impl MetricsSnapshot {
         self.cache_entries += other.cache_entries;
         self.cache_bytes += other.cache_bytes;
         self.cross_user_hits += other.cross_user_hits;
+        self.single_reads += other.single_reads;
         for t in &other.tenants {
             match self.tenants.iter_mut().find(|mine| mine.tenant == t.tenant) {
                 Some(mine) => mine.merge(t),
@@ -264,6 +281,14 @@ impl fmt::Display for MetricsSnapshot {
             100.0 * self.cache_hit_rate(),
             self.stats.cache_hits,
             self.stats.cache_probes,
+        )?;
+        writeln!(
+            f,
+            "store:    {} of {} single-target reads answered from the answer store ({:.1}%), {} answers recorded",
+            self.stats.store_hits,
+            self.single_reads,
+            100.0 * self.store_reuse_share(),
+            self.stats.store_records,
         )?;
         if !self.tenants.is_empty() {
             let requests: u64 = self.tenants.iter().map(|t| t.requests).sum();
@@ -318,6 +343,7 @@ mod tests {
             cache_entries: 5,
             cache_bytes: 1234,
             cross_user_hits: 0,
+            single_reads: 4,
             tenants: Vec::new(),
         };
         assert_eq!(snap.shed(), 4);
@@ -328,6 +354,7 @@ mod tests {
         assert!(s.contains("at 4, 4 writes, 3 retired"));
         assert!(s.contains("invalidated 7 components (512 bytes)"));
         assert!(s.contains("hit rate"));
+        assert!(s.contains("0 of 4 single-target reads answered from the answer store"));
     }
 
     #[test]
@@ -352,6 +379,7 @@ mod tests {
             cache_entries: 10,
             cache_bytes: 100,
             cross_user_hits: 6,
+            single_reads: 3,
             tenants: vec![
                 TenantMetrics {
                     tenant: 1,
@@ -398,6 +426,7 @@ mod tests {
         assert_eq!(a.cache_entries, 12);
         assert_eq!(a.cache_bytes, 120);
         assert_eq!(a.cross_user_hits, 10);
+        assert_eq!(a.single_reads, 6);
         assert_eq!(a.tenants.len(), 3, "disjoint tenant rows concatenate");
         assert_eq!(a.tenants[1].tenant, 2);
         assert!((a.cross_user_hit_rate() - 10.0 / 20.0).abs() < 1e-12);
@@ -432,6 +461,7 @@ mod tests {
             cache_entries: 0,
             cache_bytes: 0,
             cross_user_hits: 3,
+            single_reads: 0,
             tenants: vec![row(4, 3)],
         };
         let b = MetricsSnapshot { cross_user_hits: 2, tenants: vec![row(2, 2)], ..a.clone() };

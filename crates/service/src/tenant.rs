@@ -34,8 +34,9 @@
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
+use presky_core::batch::BatchCoinContext;
 use presky_core::preference::PrefDelta;
-use presky_core::types::{DimId, ValueId};
+use presky_core::types::{DimId, ObjectId, ValueId};
 use presky_exact::signature::CoinMask;
 use presky_exact::snapshot::Fnv;
 
@@ -75,6 +76,18 @@ pub(crate) struct TenantState {
 }
 
 impl TenantState {
+    /// Whether some overlay pair `(d, a, b)` can change `target`'s view
+    /// (and so its answer): `target`'s value on `d` is `a` or `b`. Every
+    /// other target's view, and answer, equals the base model's. An
+    /// out-of-range target counts as touched.
+    pub(crate) fn touches(&self, ctx: &BatchCoinContext, target: ObjectId) -> bool {
+        target.index() >= ctx.n_objects()
+            || self
+                .delta
+                .touched_values()
+                .any(|(d, v)| d.index() < ctx.dimensionality() && ctx.target_value(target, d) == v)
+    }
+
     fn new(delta: PrefDelta) -> Self {
         let fingerprint = delta_fingerprint(&delta);
         // The exact coins this overlay writes: for a pair `(a, b)`, the

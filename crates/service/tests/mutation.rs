@@ -14,19 +14,25 @@
 //! 5. **conservation under a storm** — an 8-thread mixed read/write
 //!    workload accounts every submission and commit exactly once, and
 //!    the final state is bit-identical to a fresh engine rebuilt from
-//!    the final snapshot.
+//!    the final snapshot;
+//! 6. **answer-store policy** — an epoch's stored exact answers are served
+//!    only where the request's own policy and budget would compute them
+//!    (the snapshot-isolation property of 1 covers their soundness across
+//!    writes and tenants).
 
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use presky_approx::sampler::SamOptions;
 use presky_core::preference::{PreferenceModel, SeededPreferences};
 use presky_core::table::Table;
 use presky_core::types::{DimId, ObjectId, ValueId};
 use presky_datagen::car::car_projected;
 use presky_exact::signature::signature_coins;
 use presky_exact::snapshot::load_from_path;
+use presky_query::prob_skyline::Algorithm;
 use presky_service::prelude::*;
 
 fn all_sky() -> Request {
@@ -313,55 +319,137 @@ fn apply<M: PreferenceModel + Clone + Sync>(
     }
 }
 
+/// The tenant of the snapshot-isolation property: its overlay pair on
+/// dim 0 touches every target valued 0 or 1 there (half of
+/// [`tiny_table`]), so its other targets may reuse stored base answers.
+const TENANT: TenantId = TenantId(1);
+
+fn register_tenant<M: PreferenceModel + Sync>(engine: &Engine<M>) {
+    engine.register_tenant(TENANT, &[(DimId(0), ValueId(0), ValueId(1), 0.2, 0.3)]).unwrap();
+}
+
+fn sky_one(target: u32, tenant: Option<TenantId>) -> Request {
+    let r = Request::sky_one(ObjectId(target), QueryOptions::default().with_threads(Some(1)));
+    match tenant {
+        Some(t) => r.with_tenant(t),
+        None => r,
+    }
+}
+
+/// The serial answers of one epoch, from a cold engine rebuilt from it.
+struct EpochAnswers {
+    all: Value,
+    one: Vec<Value>,
+    tenant_one: Vec<Value>,
+}
+
+impl EpochAnswers {
+    fn of<M: PreferenceModel + Clone + Sync>(engine: &Engine<M>) -> Self {
+        let view = engine.snapshot();
+        let fresh = Engine::new(
+            view.table().as_ref().clone(),
+            view.prefs().as_ref().clone(),
+            EngineOptions::default(),
+        )
+        .unwrap();
+        register_tenant(&fresh);
+        let value = |r: Request| fresh.run(r).unwrap().outcome.value().clone();
+        let n = view.n_objects() as u32;
+        Self {
+            all: value(all_sky()),
+            one: (0..n).map(|t| value(sky_one(t, None))).collect(),
+            tenant_one: (0..n).map(|t| value(sky_one(t, Some(TENANT)))).collect(),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Snapshot isolation, property-tested: a single writer applies a
-    /// random op sequence while readers hammer all-sky. Every response
-    /// must be bit-identical to the serial answer of the epoch it pinned
-    /// — a reader can observe *any* committed epoch, but never a torn
-    /// in-between state.
+    /// random op sequence while readers hammer all-sky and every target's
+    /// `sky_one`, untenanted and under a tenant whose overlay touches some
+    /// targets. Every response must be bit-identical to the serial answer
+    /// of the epoch it pinned — a reader can observe *any* committed epoch,
+    /// but never a torn in-between state — including the `sky_one` answers
+    /// served from an epoch's answer store (which must serve some).
     #[test]
     fn concurrent_readers_match_the_serial_answer_of_their_pinned_epoch(
         ops in proptest::collection::vec(write_op(), 1..6),
     ) {
         let prefs = SeededPreferences::complementary(11);
 
-        // Serial reference: the all-sky value after each commit, indexed
-        // by epoch id (ops replay deterministically, so the live engine
-        // walks exactly this epoch sequence).
+        // Serial reference per epoch id (ops replay deterministically, so
+        // the live engine walks exactly this epoch sequence).
         let serial = Engine::new(tiny_table(), prefs, EngineOptions::default()).unwrap();
         let fresh = AtomicU32::new(0);
-        let mut by_epoch: Vec<Value> =
-            vec![serial.run(all_sky()).unwrap().outcome.value().clone()];
+        let mut by_epoch = vec![EpochAnswers::of(&serial)];
         for op in &ops {
             if apply(&serial, op, &fresh) {
-                by_epoch.push(serial.run(all_sky()).unwrap().outcome.value().clone());
+                by_epoch.push(EpochAnswers::of(&serial));
             }
         }
+        // Every target of some epoch; those beyond `everywhere` are absent
+        // from at least one.
+        let targets = by_epoch.iter().map(|e| e.one.len()).max().unwrap() as u32;
+        let everywhere = by_epoch.iter().map(|e| e.one.len()).min().unwrap() as u32;
 
         let engine = Engine::new(tiny_table(), prefs, EngineOptions::default()).unwrap();
+        register_tenant(&engine);
         let fresh = AtomicU32::new(0);
         let done = AtomicBool::new(false);
-        std::thread::scope(|scope| {
+        let store_hits = std::thread::scope(|scope| {
             let readers: Vec<_> = (0..2)
                 .map(|_| {
                     let engine = &engine;
                     let by_epoch = &by_epoch;
                     let done = &done;
                     scope.spawn(move || {
-                        loop {
+                        // (untenanted, tenanted) sky_one reads served from
+                        // the store.
+                        let mut hits = (0u64, 0u64);
+                        // Two full passes after the last commit, so the
+                        // final epoch's repeats are always reads.
+                        let mut passes_after_done = 0;
+                        while passes_after_done < 2 {
+                            if done.load(Ordering::SeqCst) {
+                                passes_after_done += 1;
+                            }
                             let resp = engine.run(all_sky()).unwrap();
                             assert_eq!(
                                 *resp.outcome.value(),
-                                by_epoch[resp.epoch as usize],
-                                "epoch {} response diverged from its serial answer",
+                                by_epoch[resp.epoch as usize].all,
+                                "epoch {} all-sky diverged from its serial answer",
                                 resp.epoch
                             );
-                            if done.load(Ordering::SeqCst) {
-                                break;
+                            for t in 0..targets {
+                                for tenant in [None, Some(TENANT)] {
+                                    let resp = match engine.run(sky_one(t, tenant)) {
+                                        Ok(resp) => resp,
+                                        // Out of range in the epoch it pinned.
+                                        Err(ServiceError::Query(_)) if t >= everywhere => continue,
+                                        Err(e) => panic!("sky_one({t}): {e}"),
+                                    };
+                                    let want = &by_epoch[resp.epoch as usize];
+                                    let want = match tenant {
+                                        None => want.one.get(t as usize),
+                                        Some(_) => want.tenant_one.get(t as usize),
+                                    };
+                                    assert_eq!(
+                                        Some(resp.outcome.value()),
+                                        want,
+                                        "epoch {} sky_one({t}) under {tenant:?} diverged",
+                                        resp.epoch
+                                    );
+                                    let hit = resp.stats.store_hits;
+                                    match tenant {
+                                        None => hits.0 += hit,
+                                        Some(_) => hits.1 += hit,
+                                    }
+                                }
                             }
                         }
+                        hits
                     })
                 })
                 .collect();
@@ -370,13 +458,72 @@ proptest! {
                 std::thread::yield_now();
             }
             done.store(true, Ordering::SeqCst);
-            for r in readers {
-                r.join().unwrap();
-            }
+            readers.into_iter().map(|r| r.join().unwrap()).fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
         });
         prop_assert_eq!(engine.epoch() as usize, by_epoch.len() - 1);
         prop_assert_eq!(engine.metrics().in_flight, 0);
+        prop_assert!(store_hits.0 > 0, "the answer store served no untenanted read");
+        prop_assert!(store_hits.1 > 0, "the answer store served no tenanted read");
     }
+}
+
+// ---------------------------------------------------------------------
+// 6. answer-store policy and budgets
+
+/// A stored exact answer is served only where the request itself would
+/// compute that exact value: a forced-sampling read, or an adaptive one
+/// whose component limit is below a target's largest component, answers
+/// exactly as a fresh engine does; an expired deadline still concludes
+/// `DeadlineExceeded`; and a served answer carries the cold joints.
+#[test]
+fn stored_answers_respect_each_requests_policy_and_budget() {
+    let table = car_projected(4).unwrap();
+    let prefs = SeededPreferences::complementary(7);
+    let engine = Engine::new(table.clone(), prefs, EngineOptions::default()).unwrap();
+    let fresh = Engine::new(table, prefs, EngineOptions::default()).unwrap();
+    let n = engine.n_objects() as u32;
+    let filled = engine.run(all_sky()).unwrap();
+    assert_eq!(filled.stats.store_records, u64::from(n), "every car target solves exactly");
+
+    let sam = SamOptions::with_samples(4_000, 3);
+    let mut policies = vec![Algorithm::Sampling(sam)];
+    policies.extend((0..3).map(|limit| Algorithm::Adaptive { exact_component_limit: limit, sam }));
+    let mut estimates = 0;
+    for algo in policies {
+        for t in (0..n).step_by(7) {
+            let request = Request::sky_one(
+                ObjectId(t),
+                QueryOptions::default().with_algorithm(algo).with_threads(Some(1)),
+            );
+            let got = engine.run(request.clone()).unwrap();
+            let want = fresh.run(request).unwrap();
+            assert_eq!(got.outcome, want.outcome, "{algo:?} sky_one({t})");
+            if matches!(got.outcome, Outcome::Estimate(_)) {
+                estimates += 1;
+                assert_eq!(got.stats.store_hits, 0, "an estimate never comes from the store");
+            }
+        }
+    }
+    assert!(estimates > 0, "some policy must plan some target for sampling");
+
+    // Served answers carry the cold solve's logical joints.
+    for t in (0..n).step_by(7) {
+        let warm = engine.run(sky_one(t, None)).unwrap();
+        let cold = fresh.run(sky_one(t, None)).unwrap();
+        assert_eq!(warm.stats.store_hits, 1);
+        assert_eq!(warm.outcome, cold.outcome);
+        assert_eq!(warm.stats.joints_computed, cold.stats.joints_computed);
+    }
+
+    // An expired deadline truncates before the store is consulted.
+    let expired = Budget::default().with_deadline(Some(std::time::Duration::ZERO));
+    let resp = engine.run(sky_one(0, None).with_budget(expired)).unwrap();
+    assert!(
+        matches!(resp.outcome, Outcome::DeadlineExceeded { truncated: 1, .. }),
+        "got {:?}",
+        resp.outcome
+    );
+    assert_eq!(resp.stats.store_hits, 0);
 }
 
 // ---------------------------------------------------------------------
