@@ -5,8 +5,6 @@
 //!
 //! * [`sampler`] — `Sam`, the Monte-Carlo estimator of Algorithm 2 with
 //!   lazy sampling and the sorted checking sequence;
-//! * [`samplus`] — `Sam+`, sampling after absorption/partition
-//!   preprocessing;
 //! * [`bounds`] — Hoeffding sample-size arithmetic (Theorem 2);
 //! * [`sac`] — the independent-object-dominance baseline of Sacharidis et
 //!   al., wrong in general and implemented as the comparison target;
@@ -14,6 +12,10 @@
 //!   and rejects in Figure 6;
 //! * [`karp_luby`] — a Karp–Luby importance sampler over the coin view
 //!   (relative-error extension; DESIGN.md ablation X1).
+//!
+//! The paper's `Sam+` — the sampler after absorption and partition — is
+//! the query engine's forced-sampling plan after its full Prepare stage
+//! (`presky_query::engine::solve_one` with `PrepareOptions::full()`).
 //!
 //! ```
 //! use presky_core::prelude::*;
@@ -40,7 +42,6 @@ pub mod error;
 pub mod karp_luby;
 pub mod sac;
 pub mod sampler;
-pub mod samplus;
 pub mod sprt;
 
 /// Commonly used names.
@@ -57,7 +58,6 @@ pub mod prelude {
         sky_sam, sky_sam_antithetic, sky_sam_antithetic_view, sky_sam_view, sky_sam_view_with,
         SamOptions, SamOutcome, SamScratch,
     };
-    pub use crate::samplus::{sky_sam_plus, sky_sam_plus_view, SamPlusOptions, SamPlusOutcome};
     pub use crate::sprt::{
         sky_threshold_test, sky_threshold_test_view, SprtOptions, SprtOutcome, ThresholdDecision,
     };

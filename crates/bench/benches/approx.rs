@@ -1,35 +1,56 @@
 //! Criterion micro-benchmarks of the sampling estimators (Figures 11/13 in
-//! microcosm): Sam vs Sam+ vs Karp–Luby, and the cost of the lazy-sampling
-//! and sorted-checking design choices.
+//! microcosm): Sam vs Sam+ (the engine's forced-sampling plan) vs
+//! Karp–Luby, and the cost of the lazy-sampling and sorted-checking design
+//! choices.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use presky_approx::karp_luby::{sky_karp_luby_view, KarpLubyOptions};
 use presky_approx::sampler::{sky_sam_view, SamOptions};
-use presky_approx::samplus::{sky_sam_plus_view, SamPlusOptions};
 use presky_core::coins::CoinView;
 use presky_core::preference::SeededPreferences;
+use presky_core::table::Table;
 use presky_core::types::ObjectId;
 use presky_datagen::blockzipf::{generate_block_zipf, BlockZipfConfig};
+use presky_query::engine::{solve_one, PipelineStats, PrepareOptions, SkyScratch};
+use presky_query::prob_skyline::Algorithm;
+
+fn table(n: usize) -> Table {
+    generate_block_zipf(BlockZipfConfig::new(n, 5, 1)).unwrap()
+}
 
 fn view(n: usize) -> CoinView {
-    let prefs = SeededPreferences::complementary(42);
-    let table = generate_block_zipf(BlockZipfConfig::new(n, 5, 1)).unwrap();
-    CoinView::build(&table, &prefs, ObjectId(0)).unwrap()
+    CoinView::build(&table(n), &SeededPreferences::complementary(42), ObjectId(0)).unwrap()
 }
 
 fn sam_vs_samplus(c: &mut Criterion) {
     let mut group = c.benchmark_group("approx/blockzipf5d");
     group.sample_size(10);
+    let prefs = SeededPreferences::complementary(42);
+    let mut scratch = SkyScratch::default();
     for n in [1_000usize, 10_000] {
-        let v = view(n);
+        let t = table(n);
+        let v = CoinView::build(&t, &prefs, ObjectId(0)).unwrap();
         let sam = SamOptions::with_samples(3000, 7);
         group.bench_with_input(BenchmarkId::new("Sam", n), &v, |b, v| {
             b.iter(|| sky_sam_view(v, sam).unwrap().estimate)
         });
-        group.bench_with_input(BenchmarkId::new("Sam+", n), &v, |b, v| {
+        // Sam+: the engine's full Prepare stage and a forced-sampling plan
+        // (its time includes assembling the object's view).
+        group.bench_with_input(BenchmarkId::new("Sam+", n), &t, |b, t| {
             b.iter(|| {
-                sky_sam_plus_view(v, SamPlusOptions::default().with_sam(sam)).unwrap().estimate
+                let (algo, mut stats) = (Algorithm::Sampling(sam), PipelineStats::default());
+                solve_one(
+                    t,
+                    &prefs,
+                    ObjectId(0),
+                    algo,
+                    PrepareOptions::full(),
+                    &mut scratch,
+                    &mut stats,
+                )
+                .unwrap()
+                .sky
             })
         });
         group.bench_with_input(BenchmarkId::new("KarpLuby", n), &v, |b, v| {

@@ -9,7 +9,6 @@ use presky_core::table::Table;
 use presky_core::types::ObjectId;
 
 use presky_approx::sampler::{sky_sam, SamOptions};
-use presky_approx::samplus::{sky_sam_plus, SamPlusOptions};
 use presky_exact::det::{sky_det, DetOptions};
 use presky_exact::error::ExactError;
 use presky_query::engine::{self, PipelineStats, PrepareOptions, SkyScratch};
@@ -55,6 +54,22 @@ fn detplus_engine<M: PreferenceModel>(
     engine::solve_one(table, prefs, target, algo, PrepareOptions::full(), scratch, &mut stats)
 }
 
+/// One `Sam+` estimate through the unified engine: full preparation, then
+/// a forced-sampling plan over the reduced instance.
+fn samplus_engine<M: PreferenceModel>(
+    table: &Table,
+    prefs: &M,
+    target: ObjectId,
+    sam: SamOptions,
+    scratch: &mut SkyScratch,
+) -> Result<f64, String> {
+    let mut stats = PipelineStats::default();
+    let algo = Algorithm::Sampling(sam);
+    engine::solve_one(table, prefs, target, algo, PrepareOptions::full(), scratch, &mut stats)
+        .map(|r| r.sky)
+        .map_err(|e| e.to_string())
+}
+
 /// Mean per-object runtime of plain `Det`.
 ///
 /// "Det" is the paper's Algorithm 1 measured literally: every joint
@@ -98,7 +113,8 @@ pub fn detplus_time<M: PreferenceModel>(
     })
 }
 
-/// Mean per-object runtime of `Sam` (`plus = true` for `Sam+`).
+/// Mean per-object runtime of `Sam` (`plus = true` for `Sam+`, engine
+/// path).
 pub fn sam_time<M: PreferenceModel>(
     table: &Table,
     prefs: &M,
@@ -107,12 +123,11 @@ pub fn sam_time<M: PreferenceModel>(
     samples: u64,
     plus: bool,
 ) -> Measurement {
+    let mut scratch = SkyScratch::default();
     measure(targets, deadline, |t, _remaining| {
         let sam = SamOptions::with_samples(samples, 7 ^ t.0 as u64);
         if plus {
-            sky_sam_plus(table, prefs, t, SamPlusOptions::default().with_sam(sam))
-                .map(|_| None)
-                .map_err(|e| e.to_string())
+            samplus_engine(table, prefs, t, sam, &mut scratch).map(|_| None)
         } else {
             sky_sam(table, prefs, t, sam).map(|_| None).map_err(|e| e.to_string())
         }
@@ -209,12 +224,11 @@ pub fn sam_error<M: PreferenceModel>(
     plus: bool,
     reference: &HashMap<ObjectId, f64>,
 ) -> Measurement {
+    let mut scratch = SkyScratch::default();
     measure(targets, deadline, |t, _remaining| {
         let sam = SamOptions::with_samples(samples, 7 ^ t.0 as u64);
         let est = if plus {
-            sky_sam_plus(table, prefs, t, SamPlusOptions::default().with_sam(sam))
-                .map(|o| o.estimate)
-                .map_err(|e| e.to_string())?
+            samplus_engine(table, prefs, t, sam, &mut scratch)?
         } else {
             sky_sam(table, prefs, t, sam).map(|o| o.estimate).map_err(|e| e.to_string())?
         };

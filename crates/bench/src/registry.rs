@@ -28,7 +28,7 @@ pub fn algorithms() -> Vec<AlgorithmEntry> {
         AlgorithmEntry {
             abbreviation: "Det+",
             name: "Deterministic with data preprocessing",
-            module: "presky_exact::detplus",
+            module: "presky_query::engine (full Prepare, forced exact)",
             in_table2: true,
         },
         AlgorithmEntry {
@@ -40,7 +40,7 @@ pub fn algorithms() -> Vec<AlgorithmEntry> {
         AlgorithmEntry {
             abbreviation: "Sam+",
             name: "Sampling with data preprocessing",
-            module: "presky_approx::samplus",
+            module: "presky_query::engine (full Prepare, forced sampling)",
             in_table2: true,
         },
         AlgorithmEntry {

@@ -12,13 +12,21 @@
 //! `Pr(E_I)` from `Pr(E_{I∖{i}})` in `O(d)` by multiplying only the coins
 //! of attacker `i` not already contributed by `I∖{i}`.
 //!
-//! This module realises that scheme as a depth-first traversal of the
-//! subset lattice ordered by largest attacker index: the path to each node
-//! *is* the chain `∅ ⊂ … ⊂ I` the paper's Figure 5 arrows describe, the
-//! per-coin multiplicity counters give the O(d) incremental factor, and
-//! memory stays `O(n + m)` instead of the layer-at-a-time `O(C(n, k))` of
-//! the literal layered formulation (provided separately in
-//! [`crate::levelwise`] and proven equivalent in tests).
+//! This module realises that scheme as one depth-first walk of the subset
+//! lattice ordered by largest attacker index: the path to each node *is*
+//! the chain `∅ ⊂ … ⊂ I` the paper's Figure 5 arrows describe, the subset's
+//! coin union gives the O(d) incremental factor, and memory stays
+//! `O(n + m)` instead of the layer-at-a-time `O(C(n, k))` of the literal
+//! layered formulation (provided separately in [`crate::levelwise`] and
+//! proven equivalent in tests).
+//!
+//! The walk is generic over two things. The *coin set* holds the union:
+//! one `u64` mask travelling down the recursion when the instance has at
+//! most 64 coins, per-coin multiplicity counters otherwise. Both multiply
+//! a node's fresh coins in ascending order, so they agree bit for bit. The
+//! *hook* decides what happens below each node: the plain sum recurses,
+//! the gradient also credits each node's sum to its fresh coins, and the
+//! parallel split cuts the lattice into jobs.
 //!
 //! Three sound prunings keep practical cost below `2^n`:
 //!
@@ -36,29 +44,29 @@
 //! ## Parallel DFS (within one component)
 //!
 //! With [`DetOptions::threads`] `> 1` and at least [`PAR_MIN_ATTACKERS`]
-//! attackers, the traversal runs in three phases:
+//! attackers, the walk runs in three phases:
 //!
-//! 1. **Split** — a serial walk of the lattice down to
-//!    [`PAR_SPLIT_DEPTH`], computing the shallow terms exactly as the
-//!    serial code would and recording every depth-boundary subtree as a
-//!    *job* `(from, prod, sign, union)`;
-//! 2. **Compute** — a scoped worker pool drains the job list through an
-//!    atomic cursor, each worker running the unchanged serial recursion on
-//!    its jobs. Budgets stay enforced: workers charge a shared atomic
-//!    joints ledger every 8192 joints (the long-standing chunk size) and
-//!    check the deadline/joint caps against the committed total, so
-//!    overshoot is bounded by one chunk per worker;
-//! 3. **Fold** — the shallow terms and the per-job subtree sums are added
-//!    in the exact bracketing of the serial recursion (each subtree is
-//!    summed into a fresh accumulator that is added to its parent once).
+//! 1. **Split** — a serial walk down to [`PAR_SPLIT_DEPTH`] attackers
+//!    records each node at that depth as a *job*: its path of attacker
+//!    indices. Its joints are charged to the budget like the serial walk's;
+//! 2. **Compute** — a scoped worker pool drains the jobs through an atomic
+//!    cursor. A worker replays a job's path into its own coin set, which
+//!    recomputes the node's product bit for bit, and walks the subtree
+//!    below it with the plain-sum hook. Workers charge a shared joints
+//!    ledger every 8192 joints and check the deadline and joint caps
+//!    against the committed total;
+//! 3. **Fold** — a second walk of the shallow levels recomputes their
+//!    terms and substitutes each job's sum for the subtree below it, so
+//!    every partial sum is formed in the bracketing of the serial walk.
 //!
-//! Both the serial and the parallel path accumulate per-subtree partial
-//! sums in this canonical order, so the result is **bit-identical at every
-//! thread count** — the property the engine's component cache and the
-//! all-sky reproducibility tests rely on. A tripped budget aborts all
-//! workers and surfaces the first error; the value is withheld, never
-//! wrong.
+//! The result is therefore **bit-identical at every thread count** — the
+//! property the engine's component cache and the all-sky reproducibility
+//! tests rely on. A joint cap trips on both paths exactly when the total
+//! joint count reaches the first multiple of 8192 at or above the cap; a
+//! tripped budget aborts all workers and surfaces the first error. The
+//! value is withheld, never wrong.
 
+use std::ops::DerefMut;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -78,6 +86,9 @@ pub const PAR_SPLIT_DEPTH: usize = 3;
 /// Components smaller than this stay serial even when threads are granted:
 /// below ~2^17 lattice nodes the spawn cost exceeds the traversal cost.
 pub const PAR_MIN_ATTACKERS: usize = 17;
+
+/// Joints between two budget checks.
+const CHECK_EVERY: u64 = 8192;
 
 /// Budgets for the exponential exact computation.
 ///
@@ -100,8 +111,10 @@ pub struct DetOptions {
     /// same chunk granularity as `deadline`.
     pub deadline_at: Option<Instant>,
     /// Optional cap on the joint probabilities computed by this call. The
-    /// DFS checks it between chunks of 8192 joints, so overshoot is bounded
-    /// by one chunk (per worker, when `threads > 1`). `None` = unbounded.
+    /// DFS checks it every 8192 joints and fails once the count reaches the
+    /// first multiple of 8192 at or above the cap — at every thread count,
+    /// so a solve trips exactly when its serial solve does. `None` =
+    /// unbounded.
     pub max_joints: Option<u64>,
     /// Threads this call may use for the within-component parallel DFS.
     /// `1` (the default) stays serial; values above 1 engage the
@@ -236,112 +249,22 @@ pub fn sky_det_view_with(
     scratch: &mut DetScratch,
 ) -> Result<DetOutcome> {
     let start = Instant::now();
-    let n = view.n_attackers();
-    if n > opts.max_attackers {
-        return Err(ExactError::TooManyAttackers { n, max: opts.max_attackers });
-    }
-    let parallel = opts.threads > 1 && n >= PAR_MIN_ATTACKERS;
-    if view.n_coins() <= 64 {
-        scratch.masks.clear();
-        scratch.masks.extend(
-            (0..n).map(|i| view.attacker_coins(i).iter().fold(0u64, |m, &k| m | (1u64 << k))),
-        );
-        let masks: &[u64] = &scratch.masks;
-        let mut ctx = MaskCtx {
-            view,
-            masks,
-            budget: DfsBudget::new(&opts, start),
-            prune_zero: opts.prune_zero,
-            prune_covered: opts.prune_covered,
-        };
+    check_size(view, &opts)?;
+    let parallel = opts.threads > 1 && view.n_attackers() >= PAR_MIN_ATTACKERS;
+    let budget = DfsBudget::new(&opts, start);
+    let (sum, joints) = if view.n_coins() <= 64 {
+        let masks = Masks::new(view, &mut scratch.masks);
         if parallel {
-            let mut jobs = Vec::new();
-            let slots = ctx.dfs_split(PAR_SPLIT_DEPTH, 0, 1.0, true, 0, &mut jobs)?;
-            let ledger = SharedLedger::new(&opts, start, ctx.budget.joints);
-            let results = run_jobs(
-                opts.threads,
-                jobs.len(),
-                &ledger,
-                || (),
-                |k, (), budget| {
-                    let job = &jobs[k];
-                    let mut worker = MaskCtx {
-                        view,
-                        masks,
-                        budget,
-                        prune_zero: opts.prune_zero,
-                        prune_covered: opts.prune_covered,
-                    };
-                    worker.dfs(job.from, job.prod, job.negative, job.union)
-                },
-            )?;
-            return Ok(DetOutcome {
-                sky: 1.0 + fold_slots(&slots, &results),
-                joints_computed: ledger.total(),
-                elapsed: start.elapsed(),
-            });
+            walk_parallel(view, &opts, start, || masks)?
+        } else {
+            Walk::new(view, masks, Sum, budget, &opts).run()?
         }
-        let sum = ctx.dfs(0, 1.0, true, 0)?;
-        return Ok(DetOutcome {
-            sky: 1.0 + sum,
-            joints_computed: ctx.budget.joints,
-            elapsed: start.elapsed(),
-        });
-    }
-    scratch.mult.clear();
-    scratch.mult.resize(view.n_coins(), 0);
-    let mut ctx = Ctx {
-        view,
-        mult: &mut scratch.mult,
-        budget: DfsBudget::new(&opts, start),
-        prune_zero: opts.prune_zero,
-        prune_covered: opts.prune_covered,
+    } else if parallel {
+        walk_parallel(view, &opts, start, || Counters { view, mult: vec![0; view.n_coins()] })?
+    } else {
+        Walk::new(view, Counters::new(view, &mut scratch.mult), Sum, budget, &opts).run()?
     };
-    if parallel {
-        let mut jobs = Vec::new();
-        let mut path = Vec::with_capacity(PAR_SPLIT_DEPTH);
-        let slots = ctx.dfs_split(PAR_SPLIT_DEPTH, 0, 1.0, true, &mut path, &mut jobs)?;
-        let ledger = SharedLedger::new(&opts, start, ctx.budget.joints);
-        let n_coins = view.n_coins();
-        let results = run_jobs(
-            opts.threads,
-            jobs.len(),
-            &ledger,
-            || vec![0u32; n_coins],
-            |k, mult: &mut Vec<u32>, budget| {
-                let job = &jobs[k];
-                // Replay the split-phase prefix into this worker's private
-                // multiplicity counters, solve the subtree, then unwind so
-                // the counters are clean for the next job.
-                for &i in &job.prefix {
-                    for &c in view.attacker_coins(i) {
-                        mult[c as usize] += 1;
-                    }
-                }
-                let mut worker = Ctx {
-                    view,
-                    mult,
-                    budget,
-                    prune_zero: opts.prune_zero,
-                    prune_covered: opts.prune_covered,
-                };
-                let sum = worker.dfs(job.from, job.prod, job.negative);
-                for &i in &job.prefix {
-                    for &c in view.attacker_coins(i) {
-                        mult[c as usize] -= 1;
-                    }
-                }
-                sum
-            },
-        )?;
-        return Ok(DetOutcome {
-            sky: 1.0 + fold_slots(&slots, &results),
-            joints_computed: ledger.total(),
-            elapsed: start.elapsed(),
-        });
-    }
-    let sum = ctx.dfs(0, 1.0, true)?;
-    Ok(DetOutcome { sky: 1.0 + sum, joints_computed: ctx.budget.joints, elapsed: start.elapsed() })
+    Ok(DetOutcome { sky: 1.0 + sum, joints_computed: joints, elapsed: start.elapsed() })
 }
 
 /// [`sky_det_view_with`] plus the polynomial's gradient: on success,
@@ -353,10 +276,10 @@ pub fn sky_det_view_with(
 /// once), so reverse-mode accumulation falls out of the same traversal:
 /// a coin freshly introduced at a lattice node divides every signed term
 /// of that node's subtree, and crediting `subtree_sum / p_k` once per
-/// fresh introduction sums the true partial derivative. The accumulation
-/// mirrors the serial DFS operation for operation, so the returned `sky`
-/// is **bit-identical** to [`sky_det_view_with`] (which is itself
-/// bit-identical at every thread count).
+/// fresh introduction sums the true partial derivative. The credit is a
+/// hook of the one walk, which adds the terms in the same order, so the
+/// returned `sky` is **bit-identical** to [`sky_det_view_with`] (which is
+/// itself bit-identical at every thread count).
 ///
 /// Two deliberate deviations from the scalar solver:
 ///
@@ -374,82 +297,454 @@ pub fn sky_det_grad_view_with(
     grad: &mut Vec<f64>,
 ) -> Result<DetOutcome> {
     let start = Instant::now();
+    check_size(view, &opts)?;
+    grad.clear();
+    grad.resize(view.n_coins(), 0.0);
+    let (hook, budget) = (Grad(grad), DfsBudget::new(&opts, start));
+    let (sum, joints) = if view.n_coins() <= 64 {
+        Walk::new(view, Masks::new(view, &mut scratch.masks), hook, budget, &opts).run()?
+    } else {
+        Walk::new(view, Counters::new(view, &mut scratch.mult), hook, budget, &opts).run()?
+    };
+    Ok(DetOutcome { sky: 1.0 + sum, joints_computed: joints, elapsed: start.elapsed() })
+}
+
+fn check_size(view: &CoinView, opts: &DetOptions) -> Result<()> {
     let n = view.n_attackers();
     if n > opts.max_attackers {
         return Err(ExactError::TooManyAttackers { n, max: opts.max_attackers });
     }
-    grad.clear();
-    grad.resize(view.n_coins(), 0.0);
-    if view.n_coins() <= 64 {
-        scratch.masks.clear();
-        scratch.masks.extend(
-            (0..n).map(|i| view.attacker_coins(i).iter().fold(0u64, |m, &k| m | (1u64 << k))),
-        );
-        let masks: &[u64] = &scratch.masks;
-        let mut ctx = MaskCtx {
-            view,
-            masks,
-            budget: DfsBudget::new(&opts, start),
-            prune_zero: opts.prune_zero,
-            prune_covered: opts.prune_covered,
-        };
-        let sum = ctx.dfs_grad(0, 1.0, true, 0, grad)?;
-        return Ok(DetOutcome {
-            sky: 1.0 + sum,
-            joints_computed: ctx.budget.joints,
-            elapsed: start.elapsed(),
-        });
-    }
-    scratch.mult.clear();
-    scratch.mult.resize(view.n_coins(), 0);
-    let mut ctx = Ctx {
-        view,
-        mult: &mut scratch.mult,
-        budget: DfsBudget::new(&opts, start),
-        prune_zero: opts.prune_zero,
-        prune_covered: opts.prune_covered,
-    };
-    let sum = ctx.dfs_grad(0, 1.0, true, grad)?;
-    Ok(DetOutcome { sky: 1.0 + sum, joints_computed: ctx.budget.joints, elapsed: start.elapsed() })
+    Ok(())
 }
 
-/// Per-joint accounting hook shared by the serial budget and the parallel
-/// workers' ledger tickers: called once per joint probability computed.
+/// The coin union of the current subset, in one of two representations
+/// chosen by coin count. Both visit an attacker's fresh coins in ascending
+/// order, so the products they feed the walk agree bit for bit.
+trait CoinSet {
+    /// What travels down the recursion: the union itself as one word, or
+    /// nothing when counters hold it.
+    type Union: Copy + Default;
+    /// Take attacker `i` into a subset whose union is `u`; returns the
+    /// union with `i`.
+    fn take(&mut self, u: Self::Union, i: usize) -> Self::Union;
+    /// Undo [`CoinSet::take`] of attacker `i`.
+    fn untake(&mut self, i: usize);
+    /// Whether some attacker after `i` has every coin in `covers`.
+    fn covers_later(&self, covers: Self::Union, i: usize) -> bool;
+    /// Visit, ascending, the coins of the just-taken attacker `i` that are
+    /// not in `u`, the union before it.
+    fn for_fresh(&self, u: Self::Union, i: usize, f: impl FnMut(u32));
+}
+
+/// At most 64 coins: each attacker is a word mask (coin id = bit index).
+#[derive(Clone, Copy)]
+struct Masks<'a>(&'a [u64]);
+
+impl<'a> Masks<'a> {
+    fn new(view: &CoinView, buf: &'a mut Vec<u64>) -> Self {
+        buf.clear();
+        buf.extend(
+            (0..view.n_attackers())
+                .map(|i| view.attacker_coins(i).iter().fold(0u64, |m, &k| m | (1u64 << k))),
+        );
+        Masks(buf)
+    }
+}
+
+impl CoinSet for Masks<'_> {
+    type Union = u64;
+
+    #[inline]
+    fn take(&mut self, u: u64, i: usize) -> u64 {
+        u | self.0[i]
+    }
+
+    #[inline]
+    fn untake(&mut self, _: usize) {}
+
+    #[inline]
+    fn covers_later(&self, covers: u64, i: usize) -> bool {
+        self.0[i + 1..].iter().any(|&m| m & !covers == 0)
+    }
+
+    #[inline]
+    fn for_fresh(&self, u: u64, i: usize, mut f: impl FnMut(u32)) {
+        let mut fresh = self.0[i] & !u;
+        while fresh != 0 {
+            f(fresh.trailing_zeros());
+            fresh &= fresh - 1;
+        }
+    }
+}
+
+/// Any coin count: the multiplicity of each coin in the union. A coin is
+/// fresh when its multiplicity rises from zero — Equation 6's "distinct
+/// values". `M` is the scratch slice (serial) or a worker's own vector.
+struct Counters<'v, M> {
+    view: &'v CoinView,
+    mult: M,
+}
+
+impl<'v, 'b> Counters<'v, &'b mut [u32]> {
+    fn new(view: &'v CoinView, buf: &'b mut Vec<u32>) -> Self {
+        buf.clear();
+        buf.resize(view.n_coins(), 0);
+        Counters { view, mult: buf }
+    }
+}
+
+impl<M: DerefMut<Target = [u32]>> CoinSet for Counters<'_, M> {
+    type Union = ();
+
+    #[inline]
+    fn take(&mut self, (): (), i: usize) {
+        for &k in self.view.attacker_coins(i) {
+            self.mult[k as usize] += 1;
+        }
+    }
+
+    #[inline]
+    fn untake(&mut self, i: usize) {
+        for &k in self.view.attacker_coins(i) {
+            self.mult[k as usize] -= 1;
+        }
+    }
+
+    #[inline]
+    fn covers_later(&self, (): (), i: usize) -> bool {
+        (i + 1..self.view.n_attackers())
+            .any(|j| self.view.attacker_coins(j).iter().all(|&k| self.mult[k as usize] > 0))
+    }
+
+    #[inline]
+    fn for_fresh(&self, (): (), i: usize, mut f: impl FnMut(u32)) {
+        // A local slice, so a store in `f` cannot force a reload of it.
+        let mult = &*self.mult;
+        for &k in self.view.attacker_coins(i) {
+            if mult[k as usize] == 1 {
+                f(k);
+            }
+        }
+    }
+}
+
+/// What the walk does at a node besides adding its signed term.
+trait Hook: Sized {
+    /// The signed sum of the subtree below the node that just took
+    /// attacker `i` (`p` is the node's joint, `negative` the sign of the
+    /// next level, `covers` the node's union). By default: walk it.
+    #[inline]
+    fn below<C: CoinSet, B: JointBudget>(
+        w: &mut Walk<'_, C, B, Self>,
+        i: usize,
+        p: f64,
+        negative: bool,
+        covers: C::Union,
+    ) -> Result<f64> {
+        w.walk(i + 1, p, negative, covers)
+    }
+
+    /// Called with the node's term plus subtree sum while attacker `i` is
+    /// still taken (`u` is the union before it). By default: nothing.
+    #[inline]
+    fn credit<C: CoinSet, B: JointBudget>(
+        _w: &mut Walk<'_, C, B, Self>,
+        _u: C::Union,
+        _i: usize,
+        _node_sum: f64,
+    ) {
+    }
+}
+
+/// The plain sum.
+struct Sum;
+
+impl Hook for Sum {}
+
+/// Reverse-mode gradient: every coin a node introduces divides each term
+/// of the node's subtree exactly once, so crediting `node_sum / p_k` to
+/// each fresh coin `k` sums `∂sky/∂p_k`.
+struct Grad<'g>(&'g mut [f64]);
+
+impl Hook for Grad<'_> {
+    #[inline]
+    fn credit<C: CoinSet, B: JointBudget>(
+        w: &mut Walk<'_, C, B, Self>,
+        u: C::Union,
+        i: usize,
+        node_sum: f64,
+    ) {
+        // Slices in locals: a store through a field of `w` could alias the
+        // walk's other fields and force their reload on every coin.
+        let (probs, grad) = (w.view.coin_probs(), &mut *w.hook.0);
+        w.set.for_fresh(u, i, |k| {
+            let pk = probs[k as usize];
+            if pk > 0.0 {
+                grad[k as usize] += node_sum / pk;
+            }
+        });
+    }
+}
+
+/// The parallel path's two shallow walks. Above the cut it walks on like
+/// [`Sum`]; at a node of [`PAR_SPLIT_DEPTH`] attackers it records the
+/// node's path as a job (split walk) or returns that job's subtree sum
+/// (fold walk, when `sums` is set).
+#[derive(Default)]
+struct Split {
+    depth: usize,
+    path: [usize; PAR_SPLIT_DEPTH],
+    jobs: Vec<[usize; PAR_SPLIT_DEPTH]>,
+    sums: Option<Vec<f64>>,
+    next: usize,
+}
+
+impl Hook for Split {
+    fn below<C: CoinSet, B: JointBudget>(
+        w: &mut Walk<'_, C, B, Self>,
+        i: usize,
+        p: f64,
+        negative: bool,
+        covers: C::Union,
+    ) -> Result<f64> {
+        let h = &mut w.hook;
+        h.path[h.depth] = i;
+        if h.depth + 1 < PAR_SPLIT_DEPTH {
+            h.depth += 1;
+            let sub = w.walk(i + 1, p, negative, covers);
+            w.hook.depth -= 1;
+            return sub;
+        }
+        Ok(match &h.sums {
+            None => {
+                h.jobs.push(h.path);
+                0.0
+            }
+            Some(sums) => {
+                h.next += 1;
+                sums[h.next - 1]
+            }
+        })
+    }
+}
+
+/// One depth-first walk of the subset lattice: the coin set `C`, the
+/// budget `B` charged once per joint, and the per-node hook `H`.
+struct Walk<'v, C, B, H> {
+    view: &'v CoinView,
+    set: C,
+    budget: B,
+    hook: H,
+    prune_zero: bool,
+    prune_covered: bool,
+}
+
+impl<'v, C: CoinSet, B: JointBudget, H: Hook> Walk<'v, C, B, H> {
+    fn new(view: &'v CoinView, set: C, hook: H, budget: B, opts: &DetOptions) -> Self {
+        let (prune_zero, prune_covered) = (opts.prune_zero, opts.prune_covered);
+        Self { view, set, budget, hook, prune_zero, prune_covered }
+    }
+
+    /// Extend the current subset (union `u`, joint `prod`) with every
+    /// attacker index `>= from`, returning this subtree's share of
+    /// `Σ (−1)^{|I|} Pr(E_I)` as a fresh partial sum. `negative` is the
+    /// sign of the *next* level.
+    fn walk(&mut self, from: usize, prod: f64, negative: bool, u: C::Union) -> Result<f64> {
+        let mut local = 0.0;
+        for i in from..self.view.n_attackers() {
+            let covers = self.set.take(u, i);
+            // Covered-attacker cancellation: if some remaining attacker's
+            // coins are all in the union already, the whole cell (this term
+            // and every extension) telescopes to zero — skip it.
+            if self.prune_covered && self.set.covers_later(covers, i) {
+                self.set.untake(i);
+                continue;
+            }
+            let p = self.times_fresh(u, i, prod);
+            let term = if negative { -p } else { p };
+            local += term;
+            self.budget.tick()?;
+            let sub = if p > 0.0 || !self.prune_zero {
+                H::below(self, i, p, !negative, covers)?
+            } else {
+                0.0
+            };
+            H::credit(self, u, i, term + sub);
+            self.set.untake(i);
+            local += sub;
+        }
+        Ok(local)
+    }
+
+    /// `prod` times the probabilities of attacker `i`'s fresh coins.
+    #[inline]
+    fn times_fresh(&self, u: C::Union, i: usize, prod: f64) -> f64 {
+        let mut p = prod;
+        self.set.for_fresh(u, i, |k| p *= self.view.coin_prob(k));
+        p
+    }
+}
+
+impl<C: CoinSet, H: Hook> Walk<'_, C, DfsBudget, H> {
+    /// Walk the whole lattice: the signed sum and the joints computed.
+    fn run(mut self) -> Result<(f64, u64)> {
+        let sum = self.walk(0, 1.0, true, C::Union::default())?;
+        Ok((sum, self.budget.joints))
+    }
+}
+
+impl<C: CoinSet, B: JointBudget> Walk<'_, C, B, Sum> {
+    /// Solve one job: replay its path into this worker's coin set (which
+    /// recomputes the node's joint bit for bit), walk the subtree below,
+    /// and unwind.
+    fn job(&mut self, path: &[usize; PAR_SPLIT_DEPTH]) -> Result<f64> {
+        let (mut u, mut prod, mut negative) = (C::Union::default(), 1.0, true);
+        for &i in path {
+            let covers = self.set.take(u, i);
+            prod = self.times_fresh(u, i, prod);
+            (u, negative) = (covers, !negative);
+        }
+        let sum = self.walk(path[PAR_SPLIT_DEPTH - 1] + 1, prod, negative, u);
+        for &i in path.iter().rev() {
+            self.set.untake(i);
+        }
+        sum
+    }
+}
+
+/// Split, compute, fold (see the module docs). `new_set` makes an empty
+/// coin set for each walk and worker.
+fn walk_parallel<C: CoinSet>(
+    view: &CoinView,
+    opts: &DetOptions,
+    start: Instant,
+    new_set: impl Fn() -> C + Sync,
+) -> Result<(f64, u64)> {
+    let mut split = Walk::new(view, new_set(), Split::default(), DfsBudget::new(opts, start), opts);
+    let root = C::Union::default();
+    split.walk(0, 1.0, true, root)?;
+    let ledger = SharedLedger::new(opts, start, split.budget.joints);
+    let jobs = std::mem::take(&mut split.hook.jobs);
+    let sums = run_jobs(opts.threads, &jobs, &ledger, || {
+        Walk::new(view, new_set(), Sum, WorkerBudget { ledger: &ledger, pending: 0 }, opts)
+    })?;
+    let fold = Split { sums: Some(sums), ..Split::default() };
+    let sum = Walk::new(view, split.set, fold, Unmetered, opts).walk(0, 1.0, true, root)?;
+    Ok((sum, ledger.total()))
+}
+
+/// Drain `jobs` across `threads` scoped workers (the caller's thread
+/// included), each solving its share on its own walk from `new_walk`, and
+/// return every job's subtree sum. Worker panics are re-raised on the
+/// caller's thread; a tripped budget aborts the drain and returns the first
+/// error, and a completed drain whose total reaches the joint cap fails
+/// like the serial walk would.
+fn run_jobs<'v, 'l, C: CoinSet>(
+    threads: usize,
+    jobs: &[[usize; PAR_SPLIT_DEPTH]],
+    ledger: &'l SharedLedger,
+    new_walk: impl Fn() -> Walk<'v, C, WorkerBudget<'l>, Sum> + Sync,
+) -> Result<Vec<f64>> {
+    // Sums are written as bit patterns into atomics so the result vector
+    // can be shared without locks; each slot has exactly one writer.
+    let sums: Vec<AtomicU64> = jobs.iter().map(|_| AtomicU64::new(0)).collect();
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut w = new_walk();
+        while !ledger.abort.load(Ordering::Acquire) {
+            let k = next.fetch_add(1, Ordering::Relaxed);
+            let Some(path) = jobs.get(k) else { break };
+            match w.job(path) {
+                Ok(sum) => sums[k].store(sum.to_bits(), Ordering::Relaxed),
+                Err(e) => {
+                    ledger.trip(e);
+                    break;
+                }
+            }
+        }
+        ledger.commit(w.budget.pending);
+    };
+    let mut panic_payload = None;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..threads).map(|_| scope.spawn(worker)).collect();
+        worker();
+        for h in handles {
+            if let Err(payload) = h.join() {
+                panic_payload.get_or_insert(payload);
+            }
+        }
+    });
+    if let Some(payload) = panic_payload {
+        std::panic::resume_unwind(payload);
+    }
+    if ledger.abort.load(Ordering::Acquire) {
+        return Err(ledger.failure());
+    }
+    ledger.limits.check_joints(ledger.total())?;
+    Ok(sums.into_iter().map(|b| f64::from_bits(b.into_inner())).collect())
+}
+
+/// Per-joint accounting hook of a walk: called once per joint probability
+/// computed.
 trait JointBudget {
     fn tick(&mut self) -> Result<()>;
 }
 
-impl<B: JointBudget> JointBudget for &mut B {
-    #[inline]
-    fn tick(&mut self) -> Result<()> {
-        (**self).tick()
-    }
-}
-
-/// Budget state of a serial traversal: the relative and absolute deadlines
-/// and the joint cap, checked between chunks of 8192 joints so the
-/// per-joint cost stays one counter increment. Overshoot past any budget
-/// is bounded by one chunk — the guarantee the resident service's
-/// "terminates within budget + one chunk granularity" contract relies on.
-struct DfsBudget {
+/// The budgets of one solve, checked between chunks of joints.
+struct Limits {
     deadline: Option<Duration>,
     deadline_at: Option<Instant>,
     max_joints: Option<u64>,
     start: Instant,
+}
+
+impl Limits {
+    fn new(opts: &DetOptions, start: Instant) -> Self {
+        let (deadline, deadline_at, max_joints) =
+            (opts.deadline, opts.deadline_at, opts.max_joints);
+        Self { deadline, deadline_at, max_joints, start }
+    }
+
+    #[cold]
+    fn check(&self, joints: u64) -> Result<()> {
+        self.check_joints(joints)?;
+        let expired = self.deadline.is_some_and(|d| self.start.elapsed() > d)
+            || self.deadline_at.is_some_and(|at| Instant::now() >= at);
+        if expired {
+            let elapsed = self.start.elapsed();
+            return Err(ExactError::DeadlineExceeded { elapsed, joints_computed: joints });
+        }
+        Ok(())
+    }
+
+    /// Fail once `joints` reaches the first multiple of [`CHECK_EVERY`] at
+    /// or above the cap. The serial walk checks exactly at those multiples;
+    /// parallel workers check whenever they commit a chunk and the driver
+    /// once more after they finish, so both fail exactly when the total
+    /// joint count of the instance reaches that point.
+    fn check_joints(&self, joints: u64) -> Result<()> {
+        match self.max_joints {
+            Some(max) if joints >= max.div_ceil(CHECK_EVERY).max(1).saturating_mul(CHECK_EVERY) => {
+                Err(ExactError::JointBudgetExceeded { joints_computed: joints, max })
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
+/// Budget state of a serial walk: the joints counted so far, checked
+/// against the [`Limits`] every [`CHECK_EVERY`] joints so the per-joint
+/// cost stays one counter increment. Overshoot past any budget is bounded
+/// by one chunk — the guarantee the resident service's "terminates within
+/// budget + one chunk granularity" contract relies on.
+struct DfsBudget {
+    limits: Limits,
     joints: u64,
-    since_check: u32,
 }
 
 impl DfsBudget {
     fn new(opts: &DetOptions, start: Instant) -> Self {
-        Self {
-            deadline: opts.deadline,
-            deadline_at: opts.deadline_at,
-            max_joints: opts.max_joints,
-            start,
-            joints: 0,
-            since_check: 0,
-        }
+        Self { limits: Limits::new(opts, start), joints: 0 }
     }
 }
 
@@ -457,64 +752,31 @@ impl JointBudget for DfsBudget {
     #[inline]
     fn tick(&mut self) -> Result<()> {
         self.joints += 1;
-        self.since_check += 1;
-        if self.since_check >= 8192 {
-            self.since_check = 0;
-            check_budgets(
-                self.max_joints,
-                self.deadline,
-                self.deadline_at,
-                self.start,
-                self.joints,
-            )?;
+        if self.joints.is_multiple_of(CHECK_EVERY) {
+            self.limits.check(self.joints)?;
         }
         Ok(())
     }
 }
 
-#[cold]
-fn check_budgets(
-    max_joints: Option<u64>,
-    deadline: Option<Duration>,
-    deadline_at: Option<Instant>,
-    start: Instant,
-    joints: u64,
-) -> Result<()> {
-    if let Some(max) = max_joints {
-        if joints >= max {
-            return Err(ExactError::JointBudgetExceeded { joints_computed: joints, max });
-        }
+/// The fold walk's budget: its joints were counted by the split walk.
+struct Unmetered;
+
+impl JointBudget for Unmetered {
+    #[inline]
+    fn tick(&mut self) -> Result<()> {
+        Ok(())
     }
-    if let Some(d) = deadline {
-        if start.elapsed() > d {
-            return Err(ExactError::DeadlineExceeded {
-                elapsed: start.elapsed(),
-                joints_computed: joints,
-            });
-        }
-    }
-    if let Some(at) = deadline_at {
-        if Instant::now() >= at {
-            return Err(ExactError::DeadlineExceeded {
-                elapsed: start.elapsed(),
-                joints_computed: joints,
-            });
-        }
-    }
-    Ok(())
 }
 
 /// The shared budget of one parallel solve: a joints ledger all workers
 /// charge, an abort flag, and the first error to trip. Preloaded with the
-/// joints the split phase already computed.
+/// joints the split walk computed.
 struct SharedLedger {
     joints: AtomicU64,
     abort: AtomicBool,
     fail: Mutex<Option<ExactError>>,
-    deadline: Option<Duration>,
-    deadline_at: Option<Instant>,
-    max_joints: Option<u64>,
-    start: Instant,
+    limits: Limits,
 }
 
 impl SharedLedger {
@@ -523,10 +785,7 @@ impl SharedLedger {
             joints: AtomicU64::new(preload),
             abort: AtomicBool::new(false),
             fail: Mutex::new(None),
-            deadline: opts.deadline,
-            deadline_at: opts.deadline_at,
-            max_joints: opts.max_joints,
-            start,
+            limits: Limits::new(opts, start),
         }
     }
 
@@ -540,474 +799,46 @@ impl SharedLedger {
 
     /// Record the first tripping error and tell every worker to stop.
     fn trip(&self, e: ExactError) {
-        let mut fail = self.fail.lock().unwrap();
-        if fail.is_none() {
-            *fail = Some(e);
-        }
-        drop(fail);
+        self.fail
+            .lock()
+            .expect("ledger mutex poisoned: a thread panicked while recording an error")
+            .get_or_insert(e);
         self.abort.store(true, Ordering::Release);
     }
 
     fn failure(&self) -> ExactError {
-        self.fail.lock().unwrap().clone().unwrap_or(ExactError::DeadlineExceeded {
-            elapsed: self.start.elapsed(),
+        let fail = self
+            .fail
+            .lock()
+            .expect("ledger mutex poisoned: a thread panicked while recording an error");
+        fail.clone().unwrap_or(ExactError::DeadlineExceeded {
+            elapsed: self.limits.start.elapsed(),
             joints_computed: self.total(),
         })
     }
 }
 
 /// A worker's view of the [`SharedLedger`]: joints are buffered locally
-/// and committed (plus budget-checked) every 8192, mirroring the serial
-/// check cadence.
+/// and committed (plus budget-checked) every [`CHECK_EVERY`], mirroring
+/// the serial check cadence.
 struct WorkerBudget<'a> {
     ledger: &'a SharedLedger,
-    pending: u32,
+    pending: u64,
 }
 
 impl JointBudget for WorkerBudget<'_> {
     #[inline]
     fn tick(&mut self) -> Result<()> {
         self.pending += 1;
-        if self.pending >= 8192 {
-            let total = self.ledger.commit(self.pending as u64);
+        if self.pending == CHECK_EVERY {
+            let total = self.ledger.commit(self.pending);
             self.pending = 0;
             if self.ledger.abort.load(Ordering::Acquire) {
                 return Err(self.ledger.failure());
             }
-            check_budgets(
-                self.ledger.max_joints,
-                self.ledger.deadline,
-                self.ledger.deadline_at,
-                self.ledger.start,
-                total,
-            )?;
+            self.ledger.limits.check(total)?;
         }
         Ok(())
-    }
-}
-
-/// One element of the split phase's shallow expression tree. The fold adds
-/// `Term`s and job results in the exact order and bracketing of the serial
-/// recursion.
-enum Slot {
-    /// A signed joint probability computed by the split phase.
-    Term(f64),
-    /// The sum of deferred subtree `jobs[k]`, computed by a worker.
-    Job(usize),
-    /// A shallow interior subtree: summed into its own accumulator, added
-    /// to the parent once — the canonical partial-sum bracketing.
-    Node(Vec<Slot>),
-}
-
-fn fold_slots(slots: &[Slot], results: &[f64]) -> f64 {
-    let mut local = 0.0;
-    for s in slots {
-        match s {
-            Slot::Term(t) => local += t,
-            Slot::Job(k) => local += results[*k],
-            Slot::Node(children) => local += fold_slots(children, results),
-        }
-    }
-    local
-}
-
-/// A deferred subtree on the ≤ 64-coin bitset path.
-struct MaskJob {
-    from: usize,
-    prod: f64,
-    negative: bool,
-    union: u64,
-}
-
-/// A deferred subtree on the multiplicity-counter path: `prefix` is the
-/// chain of attacker indices above the cut, replayed into each worker's
-/// private counters before the subtree runs.
-struct CtxJob {
-    from: usize,
-    prod: f64,
-    negative: bool,
-    prefix: Vec<usize>,
-}
-
-/// Drain `n_jobs` jobs across `threads` scoped workers (the caller's
-/// thread included), writing each job's subtree sum into a result slot.
-/// Worker panics are re-raised on the caller's thread; a tripped budget
-/// aborts the drain and returns the first error.
-fn run_jobs<S, G, F>(
-    threads: usize,
-    n_jobs: usize,
-    ledger: &SharedLedger,
-    init: G,
-    job_fn: F,
-) -> Result<Vec<f64>>
-where
-    G: Fn() -> S + Sync,
-    F: Fn(usize, &mut S, &mut WorkerBudget<'_>) -> Result<f64> + Sync,
-{
-    // Sums are written as bit patterns into atomics so the result vector
-    // can be shared without locks; each slot has exactly one writer.
-    let results: Vec<AtomicU64> = (0..n_jobs).map(|_| AtomicU64::new(0)).collect();
-    let next = AtomicUsize::new(0);
-    let worker = || {
-        let mut state = init();
-        let mut budget = WorkerBudget { ledger, pending: 0 };
-        loop {
-            if ledger.abort.load(Ordering::Acquire) {
-                break;
-            }
-            let k = next.fetch_add(1, Ordering::Relaxed);
-            if k >= n_jobs {
-                break;
-            }
-            match job_fn(k, &mut state, &mut budget) {
-                Ok(sum) => results[k].store(sum.to_bits(), Ordering::Relaxed),
-                Err(e) => {
-                    ledger.trip(e);
-                    break;
-                }
-            }
-        }
-        ledger.commit(budget.pending as u64);
-    };
-    let mut panic_payload = None;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (1..threads).map(|_| scope.spawn(worker)).collect();
-        worker();
-        for h in handles {
-            if let Err(payload) = h.join() {
-                if panic_payload.is_none() {
-                    panic_payload = Some(payload);
-                }
-            }
-        }
-    });
-    if let Some(payload) = panic_payload {
-        std::panic::resume_unwind(payload);
-    }
-    if ledger.abort.load(Ordering::Acquire) {
-        return Err(ledger.failure());
-    }
-    Ok(results.into_iter().map(|b| f64::from_bits(b.into_inner())).collect())
-}
-
-struct Ctx<'a, B> {
-    view: &'a CoinView,
-    /// Multiplicity of each coin in the union of the current subset's
-    /// attackers; a coin's probability is multiplied in exactly when its
-    /// multiplicity rises from zero — Equation 6's "distinct values".
-    mult: &'a mut [u32],
-    budget: B,
-    prune_zero: bool,
-    prune_covered: bool,
-}
-
-impl<B: JointBudget> Ctx<'_, B> {
-    /// Extend the current subset with every attacker index `>= from`,
-    /// returning this subtree's share of `Σ (−1)^{|I|} Pr(E_I)` as a fresh
-    /// partial sum. `negative` is the sign of the *next* level.
-    fn dfs(&mut self, from: usize, prod: f64, negative: bool) -> Result<f64> {
-        let n = self.view.n_attackers();
-        let mut local = 0.0;
-        for i in from..n {
-            for &k in self.view.attacker_coins(i) {
-                self.mult[k as usize] += 1;
-            }
-            // Covered-attacker cancellation: if some remaining attacker's
-            // coins are all in the union already, the whole cell (this term
-            // and every extension) telescopes to zero — skip it.
-            if self.prune_covered
-                && (i + 1..n)
-                    .any(|j| self.view.attacker_coins(j).iter().all(|&k| self.mult[k as usize] > 0))
-            {
-                for &k in self.view.attacker_coins(i) {
-                    self.mult[k as usize] -= 1;
-                }
-                continue;
-            }
-            let mut p = prod;
-            for &k in self.view.attacker_coins(i) {
-                if self.mult[k as usize] == 1 {
-                    p *= self.view.coin_prob(k);
-                }
-            }
-            local += if negative { -p } else { p };
-            let r = self.budget.tick().and_then(|()| {
-                if p > 0.0 || !self.prune_zero {
-                    self.dfs(i + 1, p, !negative)
-                } else {
-                    Ok(0.0)
-                }
-            });
-            for &k in self.view.attacker_coins(i) {
-                self.mult[k as usize] -= 1;
-            }
-            local += r?;
-        }
-        Ok(local)
-    }
-
-    /// Gradient twin of [`Ctx::dfs`]: identical terms, prunes and `local`
-    /// accumulation order (the returned sum is bit-identical), plus one
-    /// reverse-mode credit per *fresh* coin of each node — the node's
-    /// signed term and its whole subtree sum, divided by that coin's
-    /// probability (every term below the node contains the coin exactly
-    /// once, so the quotient is the terms' partial derivative). The credit
-    /// happens after the recursion returns and before the multiplicities
-    /// unwind, while `mult[k] == 1` still identifies the fresh coins.
-    fn dfs_grad(
-        &mut self,
-        from: usize,
-        prod: f64,
-        negative: bool,
-        grad: &mut [f64],
-    ) -> Result<f64> {
-        let n = self.view.n_attackers();
-        let mut local = 0.0;
-        for i in from..n {
-            for &k in self.view.attacker_coins(i) {
-                self.mult[k as usize] += 1;
-            }
-            if self.prune_covered
-                && (i + 1..n)
-                    .any(|j| self.view.attacker_coins(j).iter().all(|&k| self.mult[k as usize] > 0))
-            {
-                for &k in self.view.attacker_coins(i) {
-                    self.mult[k as usize] -= 1;
-                }
-                continue;
-            }
-            let mut p = prod;
-            for &k in self.view.attacker_coins(i) {
-                if self.mult[k as usize] == 1 {
-                    p *= self.view.coin_prob(k);
-                }
-            }
-            let term = if negative { -p } else { p };
-            local += term;
-            let r = self.budget.tick().and_then(|()| {
-                if p > 0.0 || !self.prune_zero {
-                    self.dfs_grad(i + 1, p, !negative, grad)
-                } else {
-                    Ok(0.0)
-                }
-            });
-            if let Ok(sub) = r {
-                let node_sum = term + sub;
-                for &k in self.view.attacker_coins(i) {
-                    if self.mult[k as usize] == 1 {
-                        let pk = self.view.coin_prob(k);
-                        if pk > 0.0 {
-                            grad[k as usize] += node_sum / pk;
-                        }
-                    }
-                }
-            }
-            for &k in self.view.attacker_coins(i) {
-                self.mult[k as usize] -= 1;
-            }
-            local += r?;
-        }
-        Ok(local)
-    }
-
-    /// Split-phase twin of [`Ctx::dfs`]: identical terms and prunes down to
-    /// `depth` levels, deferring each boundary subtree as a [`CtxJob`].
-    fn dfs_split(
-        &mut self,
-        depth: usize,
-        from: usize,
-        prod: f64,
-        negative: bool,
-        path: &mut Vec<usize>,
-        jobs: &mut Vec<CtxJob>,
-    ) -> Result<Vec<Slot>> {
-        let n = self.view.n_attackers();
-        let mut slots = Vec::new();
-        for i in from..n {
-            for &k in self.view.attacker_coins(i) {
-                self.mult[k as usize] += 1;
-            }
-            if self.prune_covered
-                && (i + 1..n)
-                    .any(|j| self.view.attacker_coins(j).iter().all(|&k| self.mult[k as usize] > 0))
-            {
-                for &k in self.view.attacker_coins(i) {
-                    self.mult[k as usize] -= 1;
-                }
-                continue;
-            }
-            let mut p = prod;
-            for &k in self.view.attacker_coins(i) {
-                if self.mult[k as usize] == 1 {
-                    p *= self.view.coin_prob(k);
-                }
-            }
-            slots.push(Slot::Term(if negative { -p } else { p }));
-            let r = self.budget.tick().and_then(|()| {
-                if (p > 0.0 || !self.prune_zero) && i + 1 < n {
-                    if depth <= 1 {
-                        path.push(i);
-                        jobs.push(CtxJob {
-                            from: i + 1,
-                            prod: p,
-                            negative: !negative,
-                            prefix: path.clone(),
-                        });
-                        path.pop();
-                        slots.push(Slot::Job(jobs.len() - 1));
-                        Ok(())
-                    } else {
-                        path.push(i);
-                        let child = self.dfs_split(depth - 1, i + 1, p, !negative, path, jobs);
-                        path.pop();
-                        child.map(|c| {
-                            if !c.is_empty() {
-                                slots.push(Slot::Node(c));
-                            }
-                        })
-                    }
-                } else {
-                    Ok(())
-                }
-            });
-            for &k in self.view.attacker_coins(i) {
-                self.mult[k as usize] -= 1;
-            }
-            r?;
-        }
-        Ok(slots)
-    }
-}
-
-struct MaskCtx<'a, B> {
-    view: &'a CoinView,
-    /// Attacker coin sets as single-word bitsets (coin id = bit index).
-    masks: &'a [u64],
-    budget: B,
-    prune_zero: bool,
-    prune_covered: bool,
-}
-
-impl<B: JointBudget> MaskCtx<'_, B> {
-    /// Bitset twin of [`Ctx::dfs`]: `union` is the coin set of the current
-    /// subset's attackers, and the incremental factor multiplies the bits
-    /// of `masks[i] & !union` in ascending order.
-    fn dfs(&mut self, from: usize, prod: f64, negative: bool, union: u64) -> Result<f64> {
-        let mut local = 0.0;
-        for i in from..self.masks.len() {
-            let mask = self.masks[i];
-            let covers = union | mask;
-            // Covered-attacker cancellation (see [`Ctx::dfs`]).
-            if self.prune_covered && self.masks[i + 1..].iter().any(|&m| m & !covers == 0) {
-                continue;
-            }
-            let mut p = prod;
-            let mut fresh = mask & !union;
-            while fresh != 0 {
-                p *= self.view.coin_prob(fresh.trailing_zeros());
-                fresh &= fresh - 1;
-            }
-            local += if negative { -p } else { p };
-            self.budget.tick()?;
-
-            if p > 0.0 || !self.prune_zero {
-                local += self.dfs(i + 1, p, !negative, covers)?;
-            }
-        }
-        Ok(local)
-    }
-
-    /// Gradient twin of [`MaskCtx::dfs`] (see [`Ctx::dfs_grad`]): the
-    /// fresh coins of a node are walked twice — once multiplying the
-    /// incremental factor, once crediting `(term + subtree) / p_k` after
-    /// the recursion returns. Terms and `local` order match the scalar
-    /// traversal bit for bit.
-    fn dfs_grad(
-        &mut self,
-        from: usize,
-        prod: f64,
-        negative: bool,
-        union: u64,
-        grad: &mut [f64],
-    ) -> Result<f64> {
-        let mut local = 0.0;
-        for i in from..self.masks.len() {
-            let mask = self.masks[i];
-            let covers = union | mask;
-            if self.prune_covered && self.masks[i + 1..].iter().any(|&m| m & !covers == 0) {
-                continue;
-            }
-            let mut p = prod;
-            let mut fresh = mask & !union;
-            while fresh != 0 {
-                p *= self.view.coin_prob(fresh.trailing_zeros());
-                fresh &= fresh - 1;
-            }
-            let term = if negative { -p } else { p };
-            local += term;
-            self.budget.tick()?;
-
-            let sub = if p > 0.0 || !self.prune_zero {
-                self.dfs_grad(i + 1, p, !negative, covers, grad)?
-            } else {
-                0.0
-            };
-            let node_sum = term + sub;
-            let mut fresh = mask & !union;
-            while fresh != 0 {
-                let k = fresh.trailing_zeros();
-                let pk = self.view.coin_prob(k);
-                if pk > 0.0 {
-                    grad[k as usize] += node_sum / pk;
-                }
-                fresh &= fresh - 1;
-            }
-            if p > 0.0 || !self.prune_zero {
-                local += sub;
-            }
-        }
-        Ok(local)
-    }
-
-    /// Split-phase twin of [`MaskCtx::dfs`] (see [`Ctx::dfs_split`]).
-    fn dfs_split(
-        &mut self,
-        depth: usize,
-        from: usize,
-        prod: f64,
-        negative: bool,
-        union: u64,
-        jobs: &mut Vec<MaskJob>,
-    ) -> Result<Vec<Slot>> {
-        let mut slots = Vec::new();
-        for i in from..self.masks.len() {
-            let mask = self.masks[i];
-            let covers = union | mask;
-            if self.prune_covered && self.masks[i + 1..].iter().any(|&m| m & !covers == 0) {
-                continue;
-            }
-            let mut p = prod;
-            let mut fresh = mask & !union;
-            while fresh != 0 {
-                p *= self.view.coin_prob(fresh.trailing_zeros());
-                fresh &= fresh - 1;
-            }
-            slots.push(Slot::Term(if negative { -p } else { p }));
-            self.budget.tick()?;
-
-            if (p > 0.0 || !self.prune_zero) && i + 1 < self.masks.len() {
-                if depth <= 1 {
-                    jobs.push(MaskJob { from: i + 1, prod: p, negative: !negative, union: covers });
-                    slots.push(Slot::Job(jobs.len() - 1));
-                } else {
-                    let child = self.dfs_split(depth - 1, i + 1, p, !negative, covers, jobs)?;
-                    if !child.is_empty() {
-                        slots.push(Slot::Node(child));
-                    }
-                }
-            }
-        }
-        Ok(slots)
     }
 }
 
@@ -1095,7 +926,9 @@ mod tests {
     fn mask_and_counter_paths_agree_bit_for_bit() {
         // The same clause structure computed once with 6 coins (bitset fast
         // path) and once padded to 70 coins (multiplicity-counter fallback):
-        // identical multiplication order must give identical bits.
+        // identical multiplication order must give identical bits, for the
+        // value and for every gradient entry (the padded coins belong to no
+        // attacker, so their partial derivatives read exactly 0).
         let mut s = 0xdecafu64;
         let mut next = || {
             s ^= s << 13;
@@ -1122,6 +955,18 @@ mod tests {
             let b = sky_det_view_with(&wide, DetOptions::default(), &mut scratch).unwrap();
             assert_eq!(a.sky.to_bits(), b.sky.to_bits(), "{} vs {}", a.sky, b.sky);
             assert_eq!(a.joints_computed, b.joints_computed);
+            let (mut ga, mut gb) = (Vec::new(), Vec::new());
+            let a = sky_det_grad_view_with(&narrow, DetOptions::default(), &mut scratch, &mut ga)
+                .unwrap();
+            let b = sky_det_grad_view_with(&wide, DetOptions::default(), &mut scratch, &mut gb)
+                .unwrap();
+            assert_eq!(a.sky.to_bits(), b.sky.to_bits());
+            assert_eq!(a.joints_computed, b.joints_computed);
+            assert_eq!((ga.len(), gb.len()), (m, 70));
+            for (k, (x, y)) in ga.iter().zip(&gb).enumerate() {
+                assert_eq!(x.to_bits(), y.to_bits(), "coin {k}: {x} vs {y}");
+            }
+            assert!(gb[m..].iter().all(|g| g.to_bits() == 0), "padded coins: {:?}", &gb[m..]);
         }
     }
 

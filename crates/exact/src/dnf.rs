@@ -27,7 +27,7 @@ use presky_core::preference::{PrefPair, TablePreferences};
 use presky_core::table::Table;
 use presky_core::types::ObjectId;
 
-use crate::detplus::{sky_det_plus_view, DetPlusOptions};
+use crate::det::{sky_det_view, DetOptions};
 use crate::error::{ExactError, Result};
 
 /// A DNF formula over positive literals: a disjunction of conjunctions of
@@ -135,9 +135,9 @@ impl PositiveDnf {
 
     /// Recover the model count from a skyline computation on the reduced
     /// instance: `U = (1 − sky(O)) · 2^v` (Theorem 1, with `µ = 2^{−v}`).
-    pub fn count_via_sky(&self, opts: DetPlusOptions) -> Result<u64> {
+    pub fn count_via_sky(&self, opts: DetOptions) -> Result<u64> {
         let view = self.to_coin_view();
-        let sky = sky_det_plus_view(&view, opts)?.sky;
+        let sky = sky_det_view(&view, opts)?.sky;
         let scaled = (1.0 - sky) * (1u64 << self.n_vars) as f64;
         Ok(scaled.round() as u64)
     }
@@ -157,7 +157,7 @@ impl PositiveDnf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::det::{sky_det, sky_det_view, DetOptions};
+    use crate::det::sky_det;
 
     #[test]
     fn paper_example_counts() {
@@ -172,7 +172,7 @@ mod tests {
     #[test]
     fn reduction_recovers_the_count() {
         let f = PositiveDnf::paper_example();
-        let u = f.count_via_sky(DetPlusOptions::default()).unwrap();
+        let u = f.count_via_sky(DetOptions::default()).unwrap();
         assert_eq!(u, 8);
     }
 
@@ -207,7 +207,7 @@ mod tests {
                 .collect();
             let f = PositiveDnf::new(v, clauses).unwrap();
             let brute = f.count_satisfying_brute().unwrap();
-            let via = f.count_via_sky(DetPlusOptions::default()).unwrap();
+            let via = f.count_via_sky(DetOptions::default()).unwrap();
             assert_eq!(brute, via, "formula {f:?}");
         }
     }
@@ -235,10 +235,10 @@ mod tests {
         // Single clause with a single variable: U = 2^{v-1}.
         let f = PositiveDnf::new(4, vec![vec![0]]).unwrap();
         assert_eq!(f.count_satisfying_brute().unwrap(), 8);
-        assert_eq!(f.count_via_sky(DetPlusOptions::default()).unwrap(), 8);
+        assert_eq!(f.count_via_sky(DetOptions::default()).unwrap(), 8);
         // Clause over all variables: exactly one satisfying assignment.
         let f = PositiveDnf::new(4, vec![vec![0, 1, 2, 3]]).unwrap();
-        assert_eq!(f.count_via_sky(DetPlusOptions::default()).unwrap(), 1);
+        assert_eq!(f.count_via_sky(DetOptions::default()).unwrap(), 1);
     }
 
     #[test]

@@ -13,14 +13,17 @@
 //!   removal on the coin view);
 //! * [`partition`] — Theorem 4 independence factorisation (connected
 //!   components of the coin-overlap graph);
-//! * [`detplus`] — `Det+`: absorption → partition → per-component
-//!   inclusion–exclusion;
 //! * [`dnf`] — positive-DNF counting and the Theorem 1 #P-completeness
 //!   reduction, in both directions.
 //!
 //! The problem is #P-complete, so [`det::DetOptions`] carries explicit
 //! attacker budgets and wall-clock deadlines; exceeding either yields a
 //! typed [`error::ExactError`] instead of an unbounded computation.
+//!
+//! The paper's `Det+` — absorption, then partition, then `Det` per
+//! component — is the query engine's forced-exact plan after its full
+//! Prepare stage (`presky_query::engine::solve_one` with
+//! `PrepareOptions::full()`); this crate provides its stages.
 //!
 //! ```
 //! use presky_core::prelude::*;
@@ -32,9 +35,15 @@
 //!     &[vec![0, 0], vec![1, 1], vec![1, 0], vec![2, 2], vec![0, 1]],
 //! ).unwrap();
 //! let prefs = TablePreferences::with_default(PrefPair::half());
-//! let out = sky_det_plus(&table, &prefs, ObjectId(0), DetPlusOptions::default()).unwrap();
+//! let out = sky_det(&table, &prefs, ObjectId(0), DetOptions::default()).unwrap();
 //! assert!((out.sky - 3.0 / 16.0).abs() < 1e-12);
-//! assert_eq!(out.absorbed, 1); // Q1 is dispensable
+//!
+//! // Absorption finds Q1 dispensable, and the three attackers left are
+//! // independent: sky is the product of one-attacker factors.
+//! let view = CoinView::build(&table, &prefs, ObjectId(0)).unwrap();
+//! let reduced = view.restrict(&absorb(&view).kept);
+//! assert_eq!(reduced.n_attackers(), 3);
+//! assert_eq!(partition(&reduced).len(), 3);
 //! ```
 
 #![warn(missing_docs)]
@@ -45,7 +54,6 @@ pub mod bounds;
 pub mod cache;
 pub mod conditioning;
 pub mod det;
-pub mod detplus;
 pub mod dnf;
 pub mod error;
 pub mod levelwise;
@@ -67,7 +75,6 @@ pub mod prelude {
         sky_det, sky_det_grad_view_with, sky_det_view, sky_det_view_with, DetOptions, DetOutcome,
         DetScratch,
     };
-    pub use crate::detplus::{sky_det_plus, sky_det_plus_view, DetPlusOptions, DetPlusOutcome};
     pub use crate::dnf::PositiveDnf;
     pub use crate::error::ExactError;
     pub use crate::levelwise::{sky_levelwise, sky_levelwise_partial, sky_levelwise_partial_big};

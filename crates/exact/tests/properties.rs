@@ -6,7 +6,6 @@ use proptest::prelude::*;
 use presky_core::coins::CoinView;
 use presky_exact::absorption::{absorb, absorbs};
 use presky_exact::det::{sky_det_view, DetOptions};
-use presky_exact::detplus::{sky_det_plus_view, DetPlusOptions};
 use presky_exact::dnf::PositiveDnf;
 use presky_exact::levelwise::{sky_levelwise, sky_levelwise_partial_big};
 use presky_exact::naive::{sky_naive_coins, NaiveOptions};
@@ -41,7 +40,12 @@ proptest! {
         let (big, _, complete) = sky_levelwise_partial_big(&view, u64::MAX);
         prop_assert!(complete);
         prop_assert!((big - truth).abs() < 1e-9, "big {big} vs {truth}");
-        let dp = sky_det_plus_view(&view, DetPlusOptions::default()).unwrap().sky;
+        // Det+'s stages: absorption, then Det per independent component.
+        let reduced = view.restrict(&absorb(&view).kept);
+        let dp: f64 = partition(&reduced)
+            .iter()
+            .map(|g| sky_det_view(&reduced.restrict(g), DetOptions::default()).unwrap().sky)
+            .product();
         prop_assert!((dp - truth).abs() < 1e-9, "det+ {dp} vs {truth}");
     }
 
@@ -194,7 +198,7 @@ proptest! {
         prop_assume!(clauses.iter().all(|c| !c.is_empty()));
         let f = PositiveDnf::new(v, clauses).unwrap();
         let brute = f.count_satisfying_brute().unwrap();
-        let via = f.count_via_sky(DetPlusOptions::default()).unwrap();
+        let via = f.count_via_sky(DetOptions::default()).unwrap();
         prop_assert_eq!(brute, via);
         prop_assert!(brute <= 1 << v);
     }
@@ -247,31 +251,64 @@ proptest! {
     #[test]
     fn parallel_dfs_trips_joint_caps_like_serial(
         view in parallel_scale_system(),
-        threads in 2usize..=8,
+        near in near_cap_system(),
+        cap in 1u64..=30_000,
     ) {
         // Truncation honesty: a joint cap the instance exceeds must trip
         // both executions — a budget error, never a silently wrong value.
-        let cap = 1_000u64;
-        let base = DetOptions::default().with_max_attackers(64).with_max_joints(Some(cap));
-        let serial = sky_det_view(&view, base);
-        let par = sky_det_view(&view, base.with_threads(threads));
-        match (serial, par) {
-            (Ok(s), Ok(p)) => {
-                prop_assert_eq!(p.sky.to_bits(), s.sky.to_bits());
-                prop_assert_eq!(p.joints_computed, s.joints_computed);
+        // `view` exceeds a 1 000-joint cap by far; `near` holds about
+        // 8–30 k joints, so a cap up to 30 k lands near its total, where
+        // parallel workers may each stay below one 8192-joint chunk while
+        // their sum passes the cap. Either way every thread count must
+        // return the serial outcome.
+        for (view, cap) in [(&view, 1_000), (&near, cap)] {
+            let base = DetOptions::default().with_max_attackers(64).with_max_joints(Some(cap));
+            let serial = sky_det_view(view, base);
+            for threads in 2..=8 {
+                let par = sky_det_view(view, base.with_threads(threads));
+                match (&serial, par) {
+                    (Ok(s), Ok(p)) => {
+                        prop_assert_eq!(p.sky.to_bits(), s.sky.to_bits());
+                        prop_assert_eq!(p.joints_computed, s.joints_computed);
+                    }
+                    (Err(s), Err(p)) => {
+                        prop_assert_eq!(
+                            std::mem::discriminant(s),
+                            std::mem::discriminant(&p),
+                            "serial {:?} vs parallel {:?}",
+                            s,
+                            p
+                        );
+                    }
+                    (s, p) => prop_assert!(
+                        false,
+                        "cap {} threads {}: serial {:?} vs parallel {:?}",
+                        cap,
+                        threads,
+                        s,
+                        p
+                    ),
+                }
             }
-            (Err(s), Err(p)) => {
-                prop_assert_eq!(
-                    std::mem::discriminant(&s),
-                    std::mem::discriminant(&p),
-                    "serial {:?} vs parallel {:?}",
-                    s,
-                    p
-                );
-            }
-            (s, p) => prop_assert!(false, "serial {:?} vs parallel {:?}", s, p),
         }
     }
+}
+
+/// Clause systems past the parallel size gate whose lattices hold about
+/// 8–30 k joints (and fewer, now and then): 1–3 coins per attacker drawn
+/// from a pool of 28, over both coin regimes.
+fn near_cap_system() -> impl Strategy<Value = CoinView> {
+    (17usize..=20, any::<bool>()).prop_flat_map(|(n, wide_coins)| {
+        let m = if wide_coins { 90usize } else { 40 };
+        let probs = proptest::collection::vec(0.01f64..=0.99, m);
+        let pool = proptest::collection::vec(0u32..m as u32, 28);
+        let picks = proptest::collection::vec(proptest::collection::vec(0usize..28, 1..=3), n);
+        (probs, pool, picks).prop_map(|(probs, pool, picks)| {
+            let clauses: Vec<Vec<u32>> =
+                picks.into_iter().map(|c| c.into_iter().map(|k| pool[k]).collect()).collect();
+            CoinView::from_parts(probs, clauses).expect("valid system")
+        })
+    })
 }
 
 fn connected_via_coins(view: &CoinView, group: &[usize]) -> bool {

@@ -7,7 +7,7 @@
 //! almost for free, how much each elicitable preference matters:
 //!
 //! * [`sensitivity_resident`] runs the ordinary Prepare stage, then the
-//!   gradient twin of the exact DFS
+//!   exact DFS with its gradient hook
 //!   ([`presky_exact::det::sky_det_grad_view_with`]) per independent
 //!   component, and stitches the per-component gradients through the
 //!   product rule `sky = Π F_g` (prefix/suffix products — no division, so

@@ -14,6 +14,7 @@
 //! Run with: `cargo run --release --example nursery_admissions`
 
 use presky::prelude::*;
+use presky::query::engine::solve_one;
 
 fn main() {
     // The paper generates synthetic preferences for the 8 attributes; we do
@@ -25,17 +26,29 @@ fn main() {
     println!("Nursery: {} applications x {} attributes", full.len(), full.dimensionality());
 
     let picks = [0usize, 647, 6_480, 12_959];
+    // Sam+ is the engine's forced-sampling plan after its full Prepare stage.
     println!("\nPer-application acceptance probability (Sam+, 3000 samples):");
+    let sam_plus = Algorithm::Sampling(SamOptions::default());
+    let mut scratch = SkyScratch::default();
     for &row in &picks {
         let target = ObjectId::from(row);
-        let out =
-            sky_sam_plus(&full, &prefs, target, SamPlusOptions::default()).expect("valid instance");
+        let mut stats = PipelineStats::default();
+        let out = solve_one(
+            &full,
+            &prefs,
+            target,
+            sam_plus,
+            PrepareOptions::full(),
+            &mut scratch,
+            &mut stats,
+        )
+        .expect("valid instance");
         println!(
             "  #{row:>5} {}  sky ≈ {:.4}   ({} of {} attackers left after preprocessing)",
             full.display_row(target),
-            out.estimate,
-            out.component_sizes.iter().sum::<usize>(),
-            out.n_attackers,
+            out.sky,
+            stats.survivors,
+            stats.attackers_in,
         );
     }
 

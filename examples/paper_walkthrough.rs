@@ -12,6 +12,7 @@
 //! Run with: `cargo run --example paper_walkthrough`
 
 use presky::prelude::*;
+use presky::query::engine::solve_one;
 
 fn observation() {
     println!("== Observation (Section 1, Figures 1-2) ==");
@@ -68,18 +69,28 @@ fn preprocessing() {
         Table::from_rows_raw(2, &[vec![0, 0], vec![1, 1], vec![1, 0], vec![2, 2], vec![0, 1]])
             .unwrap();
     let prefs = TablePreferences::with_default(PrefPair::half());
-    let out = sky_det_plus(&table, &prefs, ObjectId(0), DetPlusOptions::default()).unwrap();
+    // Det+ is the engine's forced-exact plan after its full Prepare stage.
+    let det_plus = Algorithm::Exact { det: DetOptions::default() };
+    let (mut scratch, mut stats) = (SkyScratch::default(), PipelineStats::default());
+    let out = solve_one(
+        &table,
+        &prefs,
+        ObjectId(0),
+        det_plus,
+        PrepareOptions::full(),
+        &mut scratch,
+        &mut stats,
+    )
+    .unwrap();
     println!(
-        "Q1 absorbed ({} object), remaining objects split into {} independent sets {:?}",
-        out.absorbed,
-        out.component_sizes.len(),
-        out.component_sizes
+        "Q1 absorbed ({} object), remaining objects split into {} independent sets (largest {})",
+        stats.absorbed, stats.components, stats.largest_component
     );
     println!(
         "sky(O) = Π Pr(ē_i) = {} with only {} joint probabilities (Det alone needs 15)\n",
-        out.sky, out.joints_computed
+        out.sky, stats.joints_computed
     );
-    assert_eq!(out.joints_computed, 3);
+    assert_eq!(stats.joints_computed, 3);
 }
 
 fn theorem1() {
@@ -87,7 +98,7 @@ fn theorem1() {
     // (x1 ∧ x3) ∨ (x2 ∧ x4) ∨ (x3 ∧ x4), zero-indexed in code.
     let f = PositiveDnf::paper_example();
     let brute = f.count_satisfying_brute().unwrap();
-    let via_sky = f.count_via_sky(DetPlusOptions::default()).unwrap();
+    let via_sky = f.count_via_sky(DetOptions::default()).unwrap();
     let (table, prefs, target) = f.to_table_instance();
     let sky = sky_det(&table, &prefs, target, DetOptions::default()).unwrap().sky;
     println!("formula: (x1∧x3) ∨ (x2∧x4) ∨ (x3∧x4) over 4 variables");

@@ -7,6 +7,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use presky::prelude::*;
+use presky::query::engine::solve_one;
 
 fn main() {
     // O = (o1, o2), Q1 = (a, b), Q2 = (a, o2), Q3 = (c, e), Q4 = (o1, b).
@@ -23,12 +24,23 @@ fn main() {
     let det = sky_det(&table, &prefs, target, DetOptions::default()).expect("small instance");
     println!("Det   : sky(O) = {:.6}  ({} joint probabilities)", det.sky, det.joints_computed);
 
-    // 2. Exact, with absorption + partition preprocessing (Det+).
-    let detp =
-        sky_det_plus(&table, &prefs, target, DetPlusOptions::default()).expect("small instance");
+    // 2. Exact, with absorption + partition preprocessing (Det+): the
+    //    query engine's full Prepare stage, then a forced-exact plan.
+    let (mut scratch, mut stats) = (SkyScratch::default(), PipelineStats::default());
+    let det_plus = Algorithm::Exact { det: DetOptions::default() };
+    let detp = solve_one(
+        &table,
+        &prefs,
+        target,
+        det_plus,
+        PrepareOptions::full(),
+        &mut scratch,
+        &mut stats,
+    )
+    .expect("small instance");
     println!(
-        "Det+  : sky(O) = {:.6}  ({} absorbed, components {:?}, {} joints)",
-        detp.sky, detp.absorbed, detp.component_sizes, detp.joints_computed
+        "Det+  : sky(O) = {:.6}  ({} absorbed, {} components, {} joints)",
+        detp.sky, stats.absorbed, stats.components, stats.joints_computed
     );
 
     // 3. The independence-assuming baseline — wrong whenever attackers

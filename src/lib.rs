@@ -11,15 +11,17 @@
 //! * [`core`] — data model: tables, preference models,
 //!   dominance, possible worlds, and the reduced *coin view*;
 //! * [`exact`] — `Det` (inclusion–exclusion with shared
-//!   computation), `Det+` (absorption + partition preprocessing), naive
+//!   computation), the absorption and partition preprocessing, naive
 //!   enumeration and the #P-completeness reduction;
-//! * [`approx`] — `Sam`/`Sam+` Monte-Carlo estimators with
+//! * [`approx`] — the `Sam` Monte-Carlo estimator with
 //!   the Hoeffding `(ε, δ)` guarantee, the `Sac` baseline and the rejected
 //!   A1/A2 approximations, plus a Karp–Luby extension;
 //! * [`datagen`] — the paper's evaluation workloads
 //!   (uniform, block-zipf, Nursery) and preference generators;
-//! * [`query`] — probabilistic skyline with threshold, top-k,
-//!   and the certain-skyline substrate;
+//! * [`query`] — the Prepare → Plan → Execute engine (`Det+` and
+//!   `Sam+` are its forced-exact and forced-sampling plans after the full
+//!   Prepare stage), probabilistic skyline with threshold, top-k, and the
+//!   certain-skyline substrate;
 //! * [`service`] — the resident query service: a long-lived
 //!   engine with concurrent sessions, per-request budgets, admission
 //!   control, and one unified request API.
@@ -58,27 +60,29 @@ pub use presky_service as service;
 use presky_core::preference::PreferenceModel;
 use presky_core::table::Table;
 use presky_core::types::ObjectId;
+use presky_exact::det::DetOptions;
+use presky_query::engine::{solve_one, PipelineStats, PrepareOptions, SkyScratch};
+use presky_query::error::QueryError;
+use presky_query::prob_skyline::Algorithm;
 
-/// Compute one object's **exact** skyline probability with the full `Det+`
-/// pipeline (absorption → partition → per-component inclusion–exclusion)
-/// under default budgets.
+/// Compute one object's **exact** skyline probability with `Det+`: the
+/// query engine's full Prepare stage (certain-attacker short-circuit,
+/// impossible-coin pruning, absorption, partition) and a forced-exact plan
+/// (per-component inclusion–exclusion) under default budgets.
 ///
 /// For instances whose irreducible components exceed the default budget,
-/// use [`presky_exact::detplus::sky_det_plus`] with explicit
-/// [`presky_exact::det::DetOptions`], or fall back to the sampling
-/// estimator ([`presky_approx::sampler::sky_sam`]).
+/// call [`presky_query::engine::solve_one`] with an explicit
+/// [`Algorithm::Exact`] budget, or fall back to the sampling estimator
+/// ([`presky_approx::sampler::sky_sam`]).
 pub fn skyline_probability<M: PreferenceModel>(
     table: &Table,
     prefs: &M,
     target: ObjectId,
-) -> Result<f64, presky_exact::error::ExactError> {
-    Ok(presky_exact::detplus::sky_det_plus(
-        table,
-        prefs,
-        target,
-        presky_exact::detplus::DetPlusOptions::default(),
-    )?
-    .sky)
+) -> Result<f64, QueryError> {
+    let algo = Algorithm::Exact { det: DetOptions::default() };
+    let (mut scratch, mut stats) = (SkyScratch::default(), PipelineStats::default());
+    solve_one(table, prefs, target, algo, PrepareOptions::full(), &mut scratch, &mut stats)
+        .map(|r| r.sky)
 }
 
 /// One-stop imports: everything from the sub-crate preludes plus the

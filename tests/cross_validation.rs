@@ -78,7 +78,7 @@ proptest! {
         let level = sky_levelwise(&view, DetOptions::default()).unwrap().sky;
         prop_assert!((truth - level).abs() < 1e-9, "levelwise: {level} vs {truth}");
 
-        let detp = sky_det_plus_view(&view, DetPlusOptions::default()).unwrap().sky;
+        let detp = skyline_probability(&table, &prefs, target).unwrap();
         prop_assert!((truth - detp).abs() < 1e-9, "det+: {detp} vs {truth}");
     }
 

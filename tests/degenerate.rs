@@ -41,9 +41,7 @@ proptest! {
             let expected = if bnl.contains(&target) { 1.0 } else { 0.0 };
             let det = sky_det(&table, &order, target, DetOptions::default()).unwrap().sky;
             prop_assert_eq!(det, expected, "Det on target {}", target);
-            let detp = sky_det_plus(&table, &order, target, DetPlusOptions::default())
-                .unwrap()
-                .sky;
+            let detp = skyline_probability(&table, &order, target).unwrap();
             prop_assert_eq!(detp, expected, "Det+ on target {}", target);
             let sam = sky_sam(&table, &order, target, SamOptions::with_samples(64, 5))
                 .unwrap()

@@ -15,7 +15,7 @@ fn conditioning_agrees_with_det_plus_on_workloads() {
     let prefs = SeededPreferences::complementary(17);
     let table = generate_block_zipf(BlockZipfConfig::new(120, 3, 9)).unwrap();
     for target in [ObjectId(0), ObjectId(60), ObjectId(119)] {
-        let a = sky_det_plus(&table, &prefs, target, DetPlusOptions::default()).unwrap().sky;
+        let a = skyline_probability(&table, &prefs, target).unwrap();
         let b =
             sky_conditioning(&table, &prefs, target, ConditioningOptions::default()).unwrap().sky;
         assert!((a - b).abs() < 1e-9, "target {target}: {a} vs {b}");
@@ -61,7 +61,7 @@ fn bounds_enclose_and_tighten_on_real_data() {
     let prefs = SeededPreferences::complementary(3);
     for target in [ObjectId(0), ObjectId(120), ObjectId(239)] {
         let view = CoinView::build(&table, &prefs, target).unwrap();
-        let exact = sky_det_plus(&table, &prefs, target, DetPlusOptions::default()).unwrap().sky;
+        let exact = skyline_probability(&table, &prefs, target).unwrap();
         let cheap = sky_bounds_cheap(&view);
         assert!(
             cheap.lower <= exact + 1e-9 && exact <= cheap.upper + 1e-9,
@@ -163,13 +163,17 @@ fn profile_predicts_exact_feasibility() {
     assert!(prof.largest_component() <= cfg.block_size);
     assert!(prof.exactly_solvable_within(cfg.block_size));
     // The prediction holds: Det+ succeeds with that very limit.
-    let out = sky_det_plus(
+    let det = DetOptions::default().with_max_attackers(cfg.block_size);
+    let mut stats = PipelineStats::default();
+    presky::query::engine::solve_one(
         &table,
         &prefs,
         ObjectId(7),
-        DetPlusOptions::default()
-            .with_det(DetOptions::default().with_max_attackers(cfg.block_size)),
+        Algorithm::Exact { det },
+        PrepareOptions::full(),
+        &mut SkyScratch::default(),
+        &mut stats,
     )
     .unwrap();
-    assert_eq!(out.largest_component(), prof.largest_component());
+    assert_eq!(stats.largest_component, prof.largest_component() as u64);
 }

@@ -17,8 +17,8 @@ fn serialised_instance_computes_identically() {
     let prefs2 = prefs_from_str(&prefs_text).unwrap();
 
     for target in [ObjectId(0), ObjectId(31), ObjectId(63)] {
-        let a = sky_det_plus(&table, &prefs, target, DetPlusOptions::default()).unwrap().sky;
-        let b = sky_det_plus(&table2, &prefs2, target, DetPlusOptions::default()).unwrap().sky;
+        let a = skyline_probability(&table, &prefs, target).unwrap();
+        let b = skyline_probability(&table2, &prefs2, target).unwrap();
         assert_eq!(a.to_bits(), b.to_bits(), "target {target}");
 
         let sa = sky_sam(&table, &prefs, target, SamOptions::with_samples(500, 9)).unwrap();

@@ -26,7 +26,7 @@ fn observation_every_algorithm_agrees_on_the_truth() {
 
     let naive = sky_naive_worlds(&t, &p, target, NaiveOptions::default()).unwrap();
     let det = sky_det(&t, &p, target, DetOptions::default()).unwrap().sky;
-    let detp = sky_det_plus(&t, &p, target, DetPlusOptions::default()).unwrap().sky;
+    let detp = skyline_probability(&t, &p, target).unwrap();
     let view = CoinView::build(&t, &p, target).unwrap();
     let level = sky_levelwise(&view, DetOptions::default()).unwrap().sky;
     let coins = sky_naive_coins(&view, NaiveOptions::default()).unwrap();
@@ -44,14 +44,18 @@ fn observation_every_algorithm_agrees_on_the_truth() {
     // Estimators converge to the same value.
     let sam = sky_sam(&t, &p, target, SamOptions::with_samples(60_000, 3)).unwrap();
     assert!((sam.estimate - expect).abs() < 0.008, "Sam {}", sam.estimate);
-    let samp = sky_sam_plus(
+    let mut stats = PipelineStats::default();
+    let samp = presky::query::engine::solve_one(
         &t,
         &p,
         target,
-        SamPlusOptions::default().with_sam(SamOptions::with_samples(60_000, 3)),
+        Algorithm::Sampling(SamOptions::with_samples(60_000, 3)),
+        PrepareOptions::full(),
+        &mut SkyScratch::default(),
+        &mut stats,
     )
     .unwrap();
-    assert!((samp.estimate - expect).abs() < 0.008, "Sam+ {}", samp.estimate);
+    assert!((samp.sky - expect).abs() < 0.008, "Sam+ {}", samp.sky);
     let kl =
         sky_karp_luby(&t, &p, target, KarpLubyOptions::default().with_samples(60_000).with_seed(3))
             .unwrap();
@@ -99,7 +103,7 @@ fn example1_full_narrative() {
     // sky(O) = 3/16 on every exact engine.
     for v in [
         sky_det(&t, &p, target, DetOptions::default()).unwrap().sky,
-        sky_det_plus(&t, &p, target, DetPlusOptions::default()).unwrap().sky,
+        skyline_probability(&t, &p, target).unwrap(),
         sky_levelwise(&view, DetOptions::default()).unwrap().sky,
         sky_naive_worlds(&t, &p, target, NaiveOptions::default()).unwrap(),
     ] {
@@ -173,7 +177,7 @@ fn hoeffding_bound_honoured_across_seeds_on_example1() {
 fn dnf_example_and_both_reduction_directions() {
     let f = PositiveDnf::paper_example();
     assert_eq!(f.count_satisfying_brute().unwrap(), 8);
-    assert_eq!(f.count_via_sky(DetPlusOptions::default()).unwrap(), 8);
+    assert_eq!(f.count_via_sky(DetOptions::default()).unwrap(), 8);
     let view = f.to_coin_view();
     let back = PositiveDnf::from_half_coin_view(&view).unwrap();
     assert_eq!(back.clauses(), f.clauses());

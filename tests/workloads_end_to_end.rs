@@ -2,6 +2,22 @@
 //! properties each experiment relies on actually hold.
 
 use presky::prelude::*;
+use presky::query::engine::solve_one;
+
+/// One target through the engine's full Prepare stage and `algo`'s plan —
+/// `Det+` for a forced-exact plan, `Sam+` for forced sampling — with the
+/// stage counters.
+fn solve<M: PreferenceModel>(
+    table: &Table,
+    prefs: &M,
+    target: ObjectId,
+    algo: Algorithm,
+) -> (SkyResult, PipelineStats) {
+    let (mut scratch, mut stats) = (SkyScratch::default(), PipelineStats::default());
+    let r = solve_one(table, prefs, target, algo, PrepareOptions::full(), &mut scratch, &mut stats)
+        .unwrap();
+    (r, stats)
+}
 
 #[test]
 fn blockzipf_components_never_span_blocks() {
@@ -24,14 +40,8 @@ fn detplus_equals_sampling_on_blockzipf() {
     let table = generate_block_zipf(BlockZipfConfig::new(300, 3, 11)).unwrap();
     let prefs = SeededPreferences::complementary(2);
     for target in [ObjectId(4), ObjectId(150), ObjectId(299)] {
-        let exact = sky_det_plus(
-            &table,
-            &prefs,
-            target,
-            DetPlusOptions::default().with_det(DetOptions::default().with_max_attackers(40)),
-        )
-        .unwrap()
-        .sky;
+        let det = DetOptions::default().with_max_attackers(40);
+        let exact = solve(&table, &prefs, target, Algorithm::Exact { det }).0.sky;
         let est =
             sky_sam(&table, &prefs, target, SamOptions::with_samples(30_000, 9)).unwrap().estimate;
         assert!((exact - est).abs() < 0.012, "target {target}: exact {exact} vs est {est}");
@@ -54,7 +64,7 @@ fn nursery_absorption_keeps_exactly_the_single_coin_attackers() {
         let reduced = view.restrict(&kept);
         assert!(reduced.attackers().iter().all(|a| a.coins.len() == 1));
         // Consequently sky factorises into the independent product.
-        let sky = sky_det_plus(&table, &prefs, target, DetPlusOptions::default()).unwrap().sky;
+        let sky = skyline_probability(&table, &prefs, target).unwrap();
         let product: f64 =
             (0..reduced.n_attackers()).map(|i| 1.0 - reduced.attacker_prob(i)).product();
         assert!((sky - product).abs() < 1e-12);
@@ -67,11 +77,12 @@ fn nursery_8d_pipeline_is_fast_and_consistent() {
     let prefs = SeededPreferences::complementary(3);
     let target = ObjectId(6_480);
     let start = std::time::Instant::now();
-    let exact = sky_det_plus(&table, &prefs, target, DetPlusOptions::default()).unwrap();
+    let det = DetOptions::default();
+    let (exact, stats) = solve(&table, &prefs, target, Algorithm::Exact { det });
     assert!(start.elapsed().as_secs() < 30, "Det+ must stay fast on Nursery");
-    assert_eq!(exact.n_attackers, 12_959);
+    assert_eq!(stats.attackers_in, 12_959);
     let expected: usize = DOMAINS.iter().map(|d| d.len() - 1).sum();
-    assert_eq!(exact.n_attackers - exact.absorbed, expected);
+    assert_eq!(stats.attackers_in - stats.absorbed, expected as u64);
     let est =
         sky_sam(&table, &prefs, target, SamOptions::with_samples(20_000, 17)).unwrap().estimate;
     assert!((exact.sky - est).abs() < 0.015, "exact {} vs est {est}", exact.sky);
@@ -84,18 +95,13 @@ fn uniform_generator_supports_the_exact_experiments() {
     let prefs = SeededPreferences::complementary(5);
     let det =
         sky_det(&table, &prefs, ObjectId(0), DetOptions::default().with_max_attackers(25)).unwrap();
-    let detp = sky_det_plus(
-        &table,
-        &prefs,
-        ObjectId(0),
-        DetPlusOptions::default().with_det(DetOptions::default().with_max_attackers(25)),
-    )
-    .unwrap();
+    let exact = Algorithm::Exact { det: DetOptions::default().with_max_attackers(25) };
+    let (detp, stats) = solve(&table, &prefs, ObjectId(0), exact);
     assert!((det.sky - detp.sky).abs() < 1e-9);
     assert!(
-        detp.joints_computed <= det.joints_computed,
+        stats.joints_computed <= det.joints_computed,
         "preprocessing never increases work: {} vs {}",
-        detp.joints_computed,
+        stats.joints_computed,
         det.joints_computed
     );
 }
@@ -145,26 +151,21 @@ fn block_scoped_preferences_reproduce_the_samplus_advantage() {
     let target = ObjectId(123);
     let m = 2_000;
     let sam = sky_sam(&table, &prefs, target, SamOptions::with_samples(m, 1)).unwrap();
-    let plus = sky_sam_plus(
-        &table,
-        &prefs,
-        target,
-        SamPlusOptions::default().with_sam(SamOptions::with_samples(m, 1)),
-    )
-    .unwrap();
+    let sampling = Algorithm::Sampling(SamOptions::with_samples(m, 1));
+    let (plus, stats) = solve(&table, &prefs, target, sampling);
     // Pruning removes every attacker outside the target's block.
-    assert!(plus.pruned_impossible >= 4_000 - cfg.block_size);
+    assert!(stats.pruned_impossible >= (4_000 - cfg.block_size) as u64);
     assert!(
-        plus.sam.attacker_checks * 10 <= sam.attacker_checks,
+        stats.attacker_checks * 10 <= sam.attacker_checks,
         "Sam+ checks {} vs Sam checks {}",
-        plus.sam.attacker_checks,
+        stats.attacker_checks,
         sam.attacker_checks
     );
     // Both still agree with the exact value (which is now non-degenerate).
-    let exact = sky_det_plus(&table, &prefs, target, DetPlusOptions::default()).unwrap().sky;
+    let exact = skyline_probability(&table, &prefs, target).unwrap();
     assert!(exact > 0.001 && exact < 0.999, "non-degenerate sky: {exact}");
     assert!((sam.estimate - exact).abs() < 0.05);
-    assert!((plus.estimate - exact).abs() < 0.05);
+    assert!((plus.sky - exact).abs() < 0.05);
 }
 
 #[test]
