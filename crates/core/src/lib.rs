@@ -35,9 +35,8 @@
 //! * [`bitworlds`] — the bit-parallel possible-world kernel: 64 worlds per
 //!   machine word (multi-word SIMD lanes widen this to 256+ per step),
 //!   bit-sliced Bernoulli masks, counter-based seeding.
-//! * [`pool`] — thread-count resolution and the shared [`pool::ThreadBudget`]
-//!   token pot that keeps object-level and within-component parallelism
-//!   from oversubscribing one machine.
+//! * [`num_threads`] — the one place a requested thread count is resolved
+//!   against the machine.
 //!
 //! ## Quick example
 //!
@@ -72,14 +71,22 @@ pub mod coins;
 pub mod dominance;
 pub mod epoch;
 pub mod error;
-pub mod pool;
 pub mod preference;
 pub mod schema;
 pub mod table;
 pub mod types;
 pub mod world;
 
-pub use pool::num_threads;
+/// Resolve a requested thread count against the machine.
+///
+/// `None` means "use every available hardware thread"; `Some(0)` is
+/// sanitised to 1. The result is *not* clamped to any workload size —
+/// callers dividing `n` items among workers should clamp themselves.
+pub fn num_threads(requested: Option<usize>) -> usize {
+    requested
+        .unwrap_or_else(|| std::thread::available_parallelism().map(Into::into).unwrap_or(1))
+        .max(1)
+}
 
 /// Convenient glob-import of the commonly used names.
 pub mod prelude {
@@ -97,7 +104,7 @@ pub mod prelude {
         WriteEffects,
     };
     pub use crate::error::{CoreError, Result};
-    pub use crate::pool::{num_threads, ThreadBudget, ThreadLease};
+    pub use crate::num_threads;
     pub use crate::preference::{
         generate_table_preferences, Ballot, BradleyTerry, DeterministicOrder, ElicitationBuilder,
         OverlayPreferences, PairLaw, PrefDistribution, PrefPair, PreferenceModel,
@@ -110,4 +117,16 @@ pub mod prelude {
         for_each_world, relevant_pairs_all, relevant_pairs_for_target, sample_world, PairId,
         Relation, World,
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn num_threads_resolves_requests() {
+        assert_eq!(num_threads(Some(3)), 3);
+        assert_eq!(num_threads(Some(0)), 1, "zero sanitised to one");
+        assert!(num_threads(None) >= 1);
+    }
 }

@@ -24,9 +24,13 @@
 //! one `u64` mask travelling down the recursion when the instance has at
 //! most 64 coins, per-coin multiplicity counters otherwise. Both multiply
 //! a node's fresh coins in ascending order, so they agree bit for bit. The
-//! *hook* decides what happens below each node: the plain sum recurses,
-//! the gradient also credits each node's sum to its fresh coins, and the
-//! parallel split cuts the lattice into jobs.
+//! *hook* decides what a node does besides adding its signed term: the
+//! plain sum nothing, the gradient credits the node's sum to its fresh
+//! coins.
+//!
+//! The walk is serial. Callers parallelise across targets (the engine's
+//! all-objects drivers), which keeps every value independent of the thread
+//! count.
 //!
 //! Three sound prunings keep practical cost below `2^n`:
 //!
@@ -40,35 +44,7 @@
 //!   then pairing each extension `T` with `T ∪ {j}` matches equal joint
 //!   probabilities of opposite sign, so the entire cell (the `{…, i}` term
 //!   and all its extensions) sums to exactly zero and is skipped whole.
-//!
-//! ## Parallel DFS (within one component)
-//!
-//! With [`DetOptions::threads`] `> 1` and at least [`PAR_MIN_ATTACKERS`]
-//! attackers, the walk runs in three phases:
-//!
-//! 1. **Split** — a serial walk down to [`PAR_SPLIT_DEPTH`] attackers
-//!    records each node at that depth as a *job*: its path of attacker
-//!    indices. Its joints are charged to the budget like the serial walk's;
-//! 2. **Compute** — a scoped worker pool drains the jobs through an atomic
-//!    cursor. A worker replays a job's path into its own coin set, which
-//!    recomputes the node's product bit for bit, and walks the subtree
-//!    below it with the plain-sum hook. Workers charge a shared joints
-//!    ledger every 8192 joints and check the deadline and joint caps
-//!    against the committed total;
-//! 3. **Fold** — a second walk of the shallow levels recomputes their
-//!    terms and substitutes each job's sum for the subtree below it, so
-//!    every partial sum is formed in the bracketing of the serial walk.
-//!
-//! The result is therefore **bit-identical at every thread count** — the
-//! property the engine's component cache and the all-sky reproducibility
-//! tests rely on. A joint cap trips on both paths exactly when the total
-//! joint count reaches the first multiple of 8192 at or above the cap; a
-//! tripped budget aborts all workers and surfaces the first error. The
-//! value is withheld, never wrong.
 
-use std::ops::DerefMut;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use presky_core::coins::CoinView;
@@ -77,15 +53,6 @@ use presky_core::table::Table;
 use presky_core::types::ObjectId;
 
 use crate::error::{ExactError, Result};
-
-/// Depth at which the parallel path cuts the lattice into jobs. Depth 3
-/// yields `O(n³)` jobs — enough for work stealing to balance the heavily
-/// skewed subtree sizes — while keeping the serial split phase trivial.
-pub const PAR_SPLIT_DEPTH: usize = 3;
-
-/// Components smaller than this stay serial even when threads are granted:
-/// below ~2^17 lattice nodes the spawn cost exceeds the traversal cost.
-pub const PAR_MIN_ATTACKERS: usize = 17;
 
 /// Joints between two budget checks.
 const CHECK_EVERY: u64 = 8192;
@@ -111,20 +78,9 @@ pub struct DetOptions {
     /// same chunk granularity as `deadline`.
     pub deadline_at: Option<Instant>,
     /// Optional cap on the joint probabilities computed by this call. The
-    /// DFS checks it every 8192 joints and fails once the count reaches the
-    /// first multiple of 8192 at or above the cap — at every thread count,
-    /// so a solve trips exactly when its serial solve does. `None` =
-    /// unbounded.
+    /// DFS checks it every 8192 joints and fails at the first check whose
+    /// count has reached the cap. `None` = unbounded.
     pub max_joints: Option<u64>,
-    /// Threads this call may use for the within-component parallel DFS.
-    /// `1` (the default) stays serial; values above 1 engage the
-    /// split/compute/fold path on components with at least
-    /// [`PAR_MIN_ATTACKERS`] attackers. Results are bit-identical at every
-    /// setting. The engine stamps this from a [`ThreadLease`] grant so one
-    /// machine-wide pot bounds total parallelism.
-    ///
-    /// [`ThreadLease`]: presky_core::pool::ThreadLease
-    pub threads: usize,
     /// Skip subtrees whose joint probability is already zero (sound:
     /// every superset of a zero-probability event set has zero
     /// probability). On by default; the benchmark harness turns it off to
@@ -147,7 +103,6 @@ impl Default for DetOptions {
             deadline: None,
             deadline_at: None,
             max_joints: None,
-            threads: 1,
             prune_zero: true,
             prune_covered: true,
         }
@@ -179,9 +134,10 @@ impl DetOptions {
         self
     }
 
-    /// Chainable: set the thread allowance (`0` is sanitised to `1`).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+    /// Does nothing: the DFS is always serial, and callers parallelise
+    /// across targets instead.
+    #[deprecated(note = "the exact DFS is serial; this setter does nothing")]
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -248,23 +204,7 @@ pub fn sky_det_view_with(
     opts: DetOptions,
     scratch: &mut DetScratch,
 ) -> Result<DetOutcome> {
-    let start = Instant::now();
-    check_size(view, &opts)?;
-    let parallel = opts.threads > 1 && view.n_attackers() >= PAR_MIN_ATTACKERS;
-    let budget = DfsBudget::new(&opts, start);
-    let (sum, joints) = if view.n_coins() <= 64 {
-        let masks = Masks::new(view, &mut scratch.masks);
-        if parallel {
-            walk_parallel(view, &opts, start, || masks)?
-        } else {
-            Walk::new(view, masks, Sum, budget, &opts).run()?
-        }
-    } else if parallel {
-        walk_parallel(view, &opts, start, || Counters { view, mult: vec![0; view.n_coins()] })?
-    } else {
-        Walk::new(view, Counters::new(view, &mut scratch.mult), Sum, budget, &opts).run()?
-    };
-    Ok(DetOutcome { sky: 1.0 + sum, joints_computed: joints, elapsed: start.elapsed() })
+    solve(view, &opts, scratch, Sum)
 }
 
 /// [`sky_det_view_with`] plus the polynomial's gradient: on success,
@@ -278,43 +218,42 @@ pub fn sky_det_view_with(
 /// of that node's subtree, and crediting `subtree_sum / p_k` once per
 /// fresh introduction sums the true partial derivative. The credit is a
 /// hook of the one walk, which adds the terms in the same order, so the
-/// returned `sky` is **bit-identical** to [`sky_det_view_with`] (which is
-/// itself bit-identical at every thread count).
+/// returned `sky` is **bit-identical** to [`sky_det_view_with`].
 ///
-/// Two deliberate deviations from the scalar solver:
-///
-/// * the traversal is **always serial** — [`DetOptions::threads`] is
-///   ignored, which is what makes the gradient vector deterministic
-///   without a parallel fold (callers parallelise across targets instead);
-/// * coins with probability `0` report gradient `0` rather than the
-///   one-sided derivative (their subtrees carry zero mass under
-///   `prune_zero`, and such coins are certain preferences with no value
-///   of information anyway).
+/// Coins with probability `0` report gradient `0` rather than the
+/// one-sided derivative (their subtrees carry zero mass under
+/// `prune_zero`, and such coins are certain preferences with no value of
+/// information anyway).
 pub fn sky_det_grad_view_with(
     view: &CoinView,
     opts: DetOptions,
     scratch: &mut DetScratch,
     grad: &mut Vec<f64>,
 ) -> Result<DetOutcome> {
-    let start = Instant::now();
-    check_size(view, &opts)?;
     grad.clear();
     grad.resize(view.n_coins(), 0.0);
-    let (hook, budget) = (Grad(grad), DfsBudget::new(&opts, start));
-    let (sum, joints) = if view.n_coins() <= 64 {
-        Walk::new(view, Masks::new(view, &mut scratch.masks), hook, budget, &opts).run()?
-    } else {
-        Walk::new(view, Counters::new(view, &mut scratch.mult), hook, budget, &opts).run()?
-    };
-    Ok(DetOutcome { sky: 1.0 + sum, joints_computed: joints, elapsed: start.elapsed() })
+    solve(view, &opts, scratch, Grad(grad))
 }
 
-fn check_size(view: &CoinView, opts: &DetOptions) -> Result<()> {
+/// Walk `view`'s whole lattice with `hook`, on the coin set its coin count
+/// selects.
+fn solve<H: Hook>(
+    view: &CoinView,
+    opts: &DetOptions,
+    scratch: &mut DetScratch,
+    hook: H,
+) -> Result<DetOutcome> {
+    let start = Instant::now();
     let n = view.n_attackers();
     if n > opts.max_attackers {
         return Err(ExactError::TooManyAttackers { n, max: opts.max_attackers });
     }
-    Ok(())
+    let (sum, joints) = if view.n_coins() <= 64 {
+        Walk::new(view, Masks::new(view, &mut scratch.masks), hook, opts, start).run()?
+    } else {
+        Walk::new(view, Counters::new(view, &mut scratch.mult), hook, opts, start).run()?
+    };
+    Ok(DetOutcome { sky: 1.0 + sum, joints_computed: joints, elapsed: start.elapsed() })
 }
 
 /// The coin union of the current subset, in one of two representations
@@ -337,7 +276,6 @@ trait CoinSet {
 }
 
 /// At most 64 coins: each attacker is a word mask (coin id = bit index).
-#[derive(Clone, Copy)]
 struct Masks<'a>(&'a [u64]);
 
 impl<'a> Masks<'a> {
@@ -379,21 +317,21 @@ impl CoinSet for Masks<'_> {
 
 /// Any coin count: the multiplicity of each coin in the union. A coin is
 /// fresh when its multiplicity rises from zero — Equation 6's "distinct
-/// values". `M` is the scratch slice (serial) or a worker's own vector.
-struct Counters<'v, M> {
-    view: &'v CoinView,
-    mult: M,
+/// values".
+struct Counters<'a> {
+    view: &'a CoinView,
+    mult: &'a mut [u32],
 }
 
-impl<'v, 'b> Counters<'v, &'b mut [u32]> {
-    fn new(view: &'v CoinView, buf: &'b mut Vec<u32>) -> Self {
+impl<'a> Counters<'a> {
+    fn new(view: &'a CoinView, buf: &'a mut Vec<u32>) -> Self {
         buf.clear();
         buf.resize(view.n_coins(), 0);
         Counters { view, mult: buf }
     }
 }
 
-impl<M: DerefMut<Target = [u32]>> CoinSet for Counters<'_, M> {
+impl CoinSet for Counters<'_> {
     type Union = ();
 
     #[inline]
@@ -430,30 +368,10 @@ impl<M: DerefMut<Target = [u32]>> CoinSet for Counters<'_, M> {
 
 /// What the walk does at a node besides adding its signed term.
 trait Hook: Sized {
-    /// The signed sum of the subtree below the node that just took
-    /// attacker `i` (`p` is the node's joint, `negative` the sign of the
-    /// next level, `covers` the node's union). By default: walk it.
-    #[inline]
-    fn below<C: CoinSet, B: JointBudget>(
-        w: &mut Walk<'_, C, B, Self>,
-        i: usize,
-        p: f64,
-        negative: bool,
-        covers: C::Union,
-    ) -> Result<f64> {
-        w.walk(i + 1, p, negative, covers)
-    }
-
     /// Called with the node's term plus subtree sum while attacker `i` is
     /// still taken (`u` is the union before it). By default: nothing.
     #[inline]
-    fn credit<C: CoinSet, B: JointBudget>(
-        _w: &mut Walk<'_, C, B, Self>,
-        _u: C::Union,
-        _i: usize,
-        _node_sum: f64,
-    ) {
-    }
+    fn credit<C: CoinSet>(_w: &mut Walk<'_, C, Self>, _u: C::Union, _i: usize, _node_sum: f64) {}
 }
 
 /// The plain sum.
@@ -468,12 +386,7 @@ struct Grad<'g>(&'g mut [f64]);
 
 impl Hook for Grad<'_> {
     #[inline]
-    fn credit<C: CoinSet, B: JointBudget>(
-        w: &mut Walk<'_, C, B, Self>,
-        u: C::Union,
-        i: usize,
-        node_sum: f64,
-    ) {
+    fn credit<C: CoinSet>(w: &mut Walk<'_, C, Self>, u: C::Union, i: usize, node_sum: f64) {
         // Slices in locals: a store through a field of `w` could alias the
         // walk's other fields and force their reload on every coin.
         let (probs, grad) = (w.view.coin_probs(), &mut *w.hook.0);
@@ -486,63 +399,28 @@ impl Hook for Grad<'_> {
     }
 }
 
-/// The parallel path's two shallow walks. Above the cut it walks on like
-/// [`Sum`]; at a node of [`PAR_SPLIT_DEPTH`] attackers it records the
-/// node's path as a job (split walk) or returns that job's subtree sum
-/// (fold walk, when `sums` is set).
-#[derive(Default)]
-struct Split {
-    depth: usize,
-    path: [usize; PAR_SPLIT_DEPTH],
-    jobs: Vec<[usize; PAR_SPLIT_DEPTH]>,
-    sums: Option<Vec<f64>>,
-    next: usize,
-}
-
-impl Hook for Split {
-    fn below<C: CoinSet, B: JointBudget>(
-        w: &mut Walk<'_, C, B, Self>,
-        i: usize,
-        p: f64,
-        negative: bool,
-        covers: C::Union,
-    ) -> Result<f64> {
-        let h = &mut w.hook;
-        h.path[h.depth] = i;
-        if h.depth + 1 < PAR_SPLIT_DEPTH {
-            h.depth += 1;
-            let sub = w.walk(i + 1, p, negative, covers);
-            w.hook.depth -= 1;
-            return sub;
-        }
-        Ok(match &h.sums {
-            None => {
-                h.jobs.push(h.path);
-                0.0
-            }
-            Some(sums) => {
-                h.next += 1;
-                sums[h.next - 1]
-            }
-        })
-    }
-}
-
 /// One depth-first walk of the subset lattice: the coin set `C`, the
-/// budget `B` charged once per joint, and the per-node hook `H`.
-struct Walk<'v, C, B, H> {
+/// budget charged once per joint, and the per-node hook `H`.
+struct Walk<'v, C, H> {
     view: &'v CoinView,
     set: C,
-    budget: B,
+    budget: DfsBudget,
     hook: H,
     prune_zero: bool,
     prune_covered: bool,
 }
 
-impl<'v, C: CoinSet, B: JointBudget, H: Hook> Walk<'v, C, B, H> {
-    fn new(view: &'v CoinView, set: C, hook: H, budget: B, opts: &DetOptions) -> Self {
+impl<'v, C: CoinSet, H: Hook> Walk<'v, C, H> {
+    fn new(view: &'v CoinView, set: C, hook: H, opts: &DetOptions, start: Instant) -> Self {
+        let budget = DfsBudget::new(opts, start);
         let (prune_zero, prune_covered) = (opts.prune_zero, opts.prune_covered);
         Self { view, set, budget, hook, prune_zero, prune_covered }
+    }
+
+    /// Walk the whole lattice: the signed sum and the joints computed.
+    fn run(mut self) -> Result<(f64, u64)> {
+        let sum = self.walk(0, 1.0, true, C::Union::default())?;
+        Ok((sum, self.budget.joints))
     }
 
     /// Extend the current subset (union `u`, joint `prod`) with every
@@ -565,7 +443,7 @@ impl<'v, C: CoinSet, B: JointBudget, H: Hook> Walk<'v, C, B, H> {
             local += term;
             self.budget.tick()?;
             let sub = if p > 0.0 || !self.prune_zero {
-                H::below(self, i, p, !negative, covers)?
+                self.walk(i + 1, p, !negative, covers)?
             } else {
                 0.0
             };
@@ -585,258 +463,46 @@ impl<'v, C: CoinSet, B: JointBudget, H: Hook> Walk<'v, C, B, H> {
     }
 }
 
-impl<C: CoinSet, H: Hook> Walk<'_, C, DfsBudget, H> {
-    /// Walk the whole lattice: the signed sum and the joints computed.
-    fn run(mut self) -> Result<(f64, u64)> {
-        let sum = self.walk(0, 1.0, true, C::Union::default())?;
-        Ok((sum, self.budget.joints))
-    }
-}
-
-impl<C: CoinSet, B: JointBudget> Walk<'_, C, B, Sum> {
-    /// Solve one job: replay its path into this worker's coin set (which
-    /// recomputes the node's joint bit for bit), walk the subtree below,
-    /// and unwind.
-    fn job(&mut self, path: &[usize; PAR_SPLIT_DEPTH]) -> Result<f64> {
-        let (mut u, mut prod, mut negative) = (C::Union::default(), 1.0, true);
-        for &i in path {
-            let covers = self.set.take(u, i);
-            prod = self.times_fresh(u, i, prod);
-            (u, negative) = (covers, !negative);
-        }
-        let sum = self.walk(path[PAR_SPLIT_DEPTH - 1] + 1, prod, negative, u);
-        for &i in path.iter().rev() {
-            self.set.untake(i);
-        }
-        sum
-    }
-}
-
-/// Split, compute, fold (see the module docs). `new_set` makes an empty
-/// coin set for each walk and worker.
-fn walk_parallel<C: CoinSet>(
-    view: &CoinView,
-    opts: &DetOptions,
-    start: Instant,
-    new_set: impl Fn() -> C + Sync,
-) -> Result<(f64, u64)> {
-    let mut split = Walk::new(view, new_set(), Split::default(), DfsBudget::new(opts, start), opts);
-    let root = C::Union::default();
-    split.walk(0, 1.0, true, root)?;
-    let ledger = SharedLedger::new(opts, start, split.budget.joints);
-    let jobs = std::mem::take(&mut split.hook.jobs);
-    let sums = run_jobs(opts.threads, &jobs, &ledger, || {
-        Walk::new(view, new_set(), Sum, WorkerBudget { ledger: &ledger, pending: 0 }, opts)
-    })?;
-    let fold = Split { sums: Some(sums), ..Split::default() };
-    let sum = Walk::new(view, split.set, fold, Unmetered, opts).walk(0, 1.0, true, root)?;
-    Ok((sum, ledger.total()))
-}
-
-/// Drain `jobs` across `threads` scoped workers (the caller's thread
-/// included), each solving its share on its own walk from `new_walk`, and
-/// return every job's subtree sum. Worker panics are re-raised on the
-/// caller's thread; a tripped budget aborts the drain and returns the first
-/// error, and a completed drain whose total reaches the joint cap fails
-/// like the serial walk would.
-fn run_jobs<'v, 'l, C: CoinSet>(
-    threads: usize,
-    jobs: &[[usize; PAR_SPLIT_DEPTH]],
-    ledger: &'l SharedLedger,
-    new_walk: impl Fn() -> Walk<'v, C, WorkerBudget<'l>, Sum> + Sync,
-) -> Result<Vec<f64>> {
-    // Sums are written as bit patterns into atomics so the result vector
-    // can be shared without locks; each slot has exactly one writer.
-    let sums: Vec<AtomicU64> = jobs.iter().map(|_| AtomicU64::new(0)).collect();
-    let next = AtomicUsize::new(0);
-    let worker = || {
-        let mut w = new_walk();
-        while !ledger.abort.load(Ordering::Acquire) {
-            let k = next.fetch_add(1, Ordering::Relaxed);
-            let Some(path) = jobs.get(k) else { break };
-            match w.job(path) {
-                Ok(sum) => sums[k].store(sum.to_bits(), Ordering::Relaxed),
-                Err(e) => {
-                    ledger.trip(e);
-                    break;
-                }
-            }
-        }
-        ledger.commit(w.budget.pending);
-    };
-    let mut panic_payload = None;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (1..threads).map(|_| scope.spawn(worker)).collect();
-        worker();
-        for h in handles {
-            if let Err(payload) = h.join() {
-                panic_payload.get_or_insert(payload);
-            }
-        }
-    });
-    if let Some(payload) = panic_payload {
-        std::panic::resume_unwind(payload);
-    }
-    if ledger.abort.load(Ordering::Acquire) {
-        return Err(ledger.failure());
-    }
-    ledger.limits.check_joints(ledger.total())?;
-    Ok(sums.into_iter().map(|b| f64::from_bits(b.into_inner())).collect())
-}
-
-/// Per-joint accounting hook of a walk: called once per joint probability
-/// computed.
-trait JointBudget {
-    fn tick(&mut self) -> Result<()>;
-}
-
-/// The budgets of one solve, checked between chunks of joints.
-struct Limits {
+/// The budgets of one solve and the joints counted so far, checked every
+/// [`CHECK_EVERY`] joints so the per-joint cost stays one counter
+/// increment. Overshoot past any budget is bounded by one chunk — the
+/// guarantee the resident service's "terminates within budget + one chunk
+/// granularity" contract relies on.
+struct DfsBudget {
     deadline: Option<Duration>,
     deadline_at: Option<Instant>,
     max_joints: Option<u64>,
     start: Instant,
-}
-
-impl Limits {
-    fn new(opts: &DetOptions, start: Instant) -> Self {
-        let (deadline, deadline_at, max_joints) =
-            (opts.deadline, opts.deadline_at, opts.max_joints);
-        Self { deadline, deadline_at, max_joints, start }
-    }
-
-    #[cold]
-    fn check(&self, joints: u64) -> Result<()> {
-        self.check_joints(joints)?;
-        let expired = self.deadline.is_some_and(|d| self.start.elapsed() > d)
-            || self.deadline_at.is_some_and(|at| Instant::now() >= at);
-        if expired {
-            let elapsed = self.start.elapsed();
-            return Err(ExactError::DeadlineExceeded { elapsed, joints_computed: joints });
-        }
-        Ok(())
-    }
-
-    /// Fail once `joints` reaches the first multiple of [`CHECK_EVERY`] at
-    /// or above the cap. The serial walk checks exactly at those multiples;
-    /// parallel workers check whenever they commit a chunk and the driver
-    /// once more after they finish, so both fail exactly when the total
-    /// joint count of the instance reaches that point.
-    fn check_joints(&self, joints: u64) -> Result<()> {
-        match self.max_joints {
-            Some(max) if joints >= max.div_ceil(CHECK_EVERY).max(1).saturating_mul(CHECK_EVERY) => {
-                Err(ExactError::JointBudgetExceeded { joints_computed: joints, max })
-            }
-            _ => Ok(()),
-        }
-    }
-}
-
-/// Budget state of a serial walk: the joints counted so far, checked
-/// against the [`Limits`] every [`CHECK_EVERY`] joints so the per-joint
-/// cost stays one counter increment. Overshoot past any budget is bounded
-/// by one chunk — the guarantee the resident service's "terminates within
-/// budget + one chunk granularity" contract relies on.
-struct DfsBudget {
-    limits: Limits,
     joints: u64,
 }
 
 impl DfsBudget {
     fn new(opts: &DetOptions, start: Instant) -> Self {
-        Self { limits: Limits::new(opts, start), joints: 0 }
+        let (deadline, deadline_at, max_joints) =
+            (opts.deadline, opts.deadline_at, opts.max_joints);
+        Self { deadline, deadline_at, max_joints, start, joints: 0 }
     }
-}
 
-impl JointBudget for DfsBudget {
     #[inline]
     fn tick(&mut self) -> Result<()> {
         self.joints += 1;
         if self.joints.is_multiple_of(CHECK_EVERY) {
-            self.limits.check(self.joints)?;
+            return self.check();
         }
         Ok(())
     }
-}
 
-/// The fold walk's budget: its joints were counted by the split walk.
-struct Unmetered;
-
-impl JointBudget for Unmetered {
-    #[inline]
-    fn tick(&mut self) -> Result<()> {
-        Ok(())
-    }
-}
-
-/// The shared budget of one parallel solve: a joints ledger all workers
-/// charge, an abort flag, and the first error to trip. Preloaded with the
-/// joints the split walk computed.
-struct SharedLedger {
-    joints: AtomicU64,
-    abort: AtomicBool,
-    fail: Mutex<Option<ExactError>>,
-    limits: Limits,
-}
-
-impl SharedLedger {
-    fn new(opts: &DetOptions, start: Instant, preload: u64) -> Self {
-        Self {
-            joints: AtomicU64::new(preload),
-            abort: AtomicBool::new(false),
-            fail: Mutex::new(None),
-            limits: Limits::new(opts, start),
+    #[cold]
+    fn check(&self) -> Result<()> {
+        let joints = self.joints;
+        if let Some(max) = self.max_joints.filter(|&max| joints >= max) {
+            return Err(ExactError::JointBudgetExceeded { joints_computed: joints, max });
         }
-    }
-
-    fn commit(&self, delta: u64) -> u64 {
-        self.joints.fetch_add(delta, Ordering::Relaxed) + delta
-    }
-
-    fn total(&self) -> u64 {
-        self.joints.load(Ordering::Relaxed)
-    }
-
-    /// Record the first tripping error and tell every worker to stop.
-    fn trip(&self, e: ExactError) {
-        self.fail
-            .lock()
-            .expect("ledger mutex poisoned: a thread panicked while recording an error")
-            .get_or_insert(e);
-        self.abort.store(true, Ordering::Release);
-    }
-
-    fn failure(&self) -> ExactError {
-        let fail = self
-            .fail
-            .lock()
-            .expect("ledger mutex poisoned: a thread panicked while recording an error");
-        fail.clone().unwrap_or(ExactError::DeadlineExceeded {
-            elapsed: self.limits.start.elapsed(),
-            joints_computed: self.total(),
-        })
-    }
-}
-
-/// A worker's view of the [`SharedLedger`]: joints are buffered locally
-/// and committed (plus budget-checked) every [`CHECK_EVERY`], mirroring
-/// the serial check cadence.
-struct WorkerBudget<'a> {
-    ledger: &'a SharedLedger,
-    pending: u64,
-}
-
-impl JointBudget for WorkerBudget<'_> {
-    #[inline]
-    fn tick(&mut self) -> Result<()> {
-        self.pending += 1;
-        if self.pending == CHECK_EVERY {
-            let total = self.ledger.commit(self.pending);
-            self.pending = 0;
-            if self.ledger.abort.load(Ordering::Acquire) {
-                return Err(self.ledger.failure());
-            }
-            self.ledger.limits.check(total)?;
+        let expired = self.deadline.is_some_and(|d| self.start.elapsed() > d)
+            || self.deadline_at.is_some_and(|at| Instant::now() >= at);
+        if expired {
+            let elapsed = self.start.elapsed();
+            return Err(ExactError::DeadlineExceeded { elapsed, joints_computed: joints });
         }
         Ok(())
     }
@@ -994,53 +660,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_mask_path_is_bit_identical_to_serial() {
-        for seed in 1..=3u64 {
-            let view = random_instance(18, 40, seed);
-            assert!(view.n_coins() <= 64);
-            let serial = sky_det_view(&view, DetOptions::default()).unwrap();
-            let par = sky_det_view(&view, DetOptions::default().with_threads(4)).unwrap();
-            assert_eq!(serial.sky.to_bits(), par.sky.to_bits(), "seed {seed}");
-            assert_eq!(serial.joints_computed, par.joints_computed, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn parallel_counter_path_is_bit_identical_to_serial() {
-        for seed in 1..=3u64 {
-            let view = random_instance(18, 70, seed);
-            assert!(view.n_coins() > 64);
-            let serial = sky_det_view(&view, DetOptions::default()).unwrap();
-            let par = sky_det_view(&view, DetOptions::default().with_threads(4)).unwrap();
-            assert_eq!(serial.sky.to_bits(), par.sky.to_bits(), "seed {seed}");
-            assert_eq!(serial.joints_computed, par.joints_computed, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn parallel_path_respects_deadline_and_joint_caps() {
+    fn joint_cap_trips_on_large_instance() {
         // 22 independent attackers: 2^22 lattice nodes, no pruning bites.
         let view = CoinView::from_parts(vec![0.5; 22], (0..22).map(|i| vec![i]).collect()).unwrap();
-        let opts = DetOptions::default().with_threads(4);
-        let err = sky_det_view(&view, opts.with_deadline(Duration::from_millis(0))).unwrap_err();
-        assert!(matches!(err, ExactError::DeadlineExceeded { .. }));
-        let err = sky_det_view(&view, opts.with_max_joints(Some(1000))).unwrap_err();
-        assert!(matches!(err, ExactError::JointBudgetExceeded { .. }));
-        // The serial path trips the same way on the same budgets.
         let err =
             sky_det_view(&view, DetOptions::default().with_max_joints(Some(1000))).unwrap_err();
         assert!(matches!(err, ExactError::JointBudgetExceeded { .. }));
-    }
-
-    #[test]
-    fn thread_allowance_is_inert_below_the_size_gate() {
-        // Small instances ignore the allowance entirely (pure serial path),
-        // so granting threads can never perturb them.
-        let (t, p) = example1();
-        let a = sky_det(&t, &p, ObjectId(0), DetOptions::default()).unwrap();
-        let b = sky_det(&t, &p, ObjectId(0), DetOptions::default().with_threads(8)).unwrap();
-        assert_eq!(a.sky.to_bits(), b.sky.to_bits());
-        assert_eq!(a.joints_computed, b.joints_computed);
     }
 
     #[test]

@@ -204,113 +204,6 @@ proptest! {
     }
 }
 
-/// Random clause systems large enough to cross the parallel-DFS size gate
-/// (`PAR_MIN_ATTACKERS`), over both coin regimes: ≤ 64 coins exercises
-/// the mask path, > 64 the multiplicity-counter path.
-fn parallel_scale_system() -> impl Strategy<Value = CoinView> {
-    (17usize..=19, any::<bool>()).prop_flat_map(|(n, wide_coins)| {
-        let m = if wide_coins { 90usize } else { 40 };
-        let probs = proptest::collection::vec(0.01f64..=0.99, m);
-        let clauses =
-            proptest::collection::vec(proptest::collection::btree_set(0u32..m as u32, 1..=4), n);
-        (probs, clauses).prop_map(|(probs, clauses)| {
-            let clauses: Vec<Vec<u32>> =
-                clauses.into_iter().map(|c| c.into_iter().collect()).collect();
-            CoinView::from_parts(probs, clauses).expect("valid system")
-        })
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn parallel_dfs_is_bit_identical_to_serial(
-        view in parallel_scale_system(),
-        threads in 2usize..=8,
-    ) {
-        // The canonical-partials bracketing makes the signed sum
-        // independent of how subtrees are assigned to workers: every
-        // thread count reproduces the serial bits, and the deterministic
-        // joint count survives too (parallel overshoot only exists on
-        // the error path).
-        let base = DetOptions::default().with_max_attackers(64);
-        let serial = sky_det_view(&view, base).unwrap();
-        let par = sky_det_view(&view, base.with_threads(threads)).unwrap();
-        prop_assert_eq!(
-            par.sky.to_bits(),
-            serial.sky.to_bits(),
-            "threads={}: {} vs {}",
-            threads,
-            par.sky,
-            serial.sky
-        );
-        prop_assert_eq!(par.joints_computed, serial.joints_computed);
-    }
-
-    #[test]
-    fn parallel_dfs_trips_joint_caps_like_serial(
-        view in parallel_scale_system(),
-        near in near_cap_system(),
-        cap in 1u64..=30_000,
-    ) {
-        // Truncation honesty: a joint cap the instance exceeds must trip
-        // both executions — a budget error, never a silently wrong value.
-        // `view` exceeds a 1 000-joint cap by far; `near` holds about
-        // 8–30 k joints, so a cap up to 30 k lands near its total, where
-        // parallel workers may each stay below one 8192-joint chunk while
-        // their sum passes the cap. Either way every thread count must
-        // return the serial outcome.
-        for (view, cap) in [(&view, 1_000), (&near, cap)] {
-            let base = DetOptions::default().with_max_attackers(64).with_max_joints(Some(cap));
-            let serial = sky_det_view(view, base);
-            for threads in 2..=8 {
-                let par = sky_det_view(view, base.with_threads(threads));
-                match (&serial, par) {
-                    (Ok(s), Ok(p)) => {
-                        prop_assert_eq!(p.sky.to_bits(), s.sky.to_bits());
-                        prop_assert_eq!(p.joints_computed, s.joints_computed);
-                    }
-                    (Err(s), Err(p)) => {
-                        prop_assert_eq!(
-                            std::mem::discriminant(s),
-                            std::mem::discriminant(&p),
-                            "serial {:?} vs parallel {:?}",
-                            s,
-                            p
-                        );
-                    }
-                    (s, p) => prop_assert!(
-                        false,
-                        "cap {} threads {}: serial {:?} vs parallel {:?}",
-                        cap,
-                        threads,
-                        s,
-                        p
-                    ),
-                }
-            }
-        }
-    }
-}
-
-/// Clause systems past the parallel size gate whose lattices hold about
-/// 8–30 k joints (and fewer, now and then): 1–3 coins per attacker drawn
-/// from a pool of 28, over both coin regimes.
-fn near_cap_system() -> impl Strategy<Value = CoinView> {
-    (17usize..=20, any::<bool>()).prop_flat_map(|(n, wide_coins)| {
-        let m = if wide_coins { 90usize } else { 40 };
-        let probs = proptest::collection::vec(0.01f64..=0.99, m);
-        let pool = proptest::collection::vec(0u32..m as u32, 28);
-        let picks = proptest::collection::vec(proptest::collection::vec(0usize..28, 1..=3), n);
-        (probs, pool, picks).prop_map(|(probs, pool, picks)| {
-            let clauses: Vec<Vec<u32>> =
-                picks.into_iter().map(|c| c.into_iter().map(|k| pool[k]).collect()).collect();
-            CoinView::from_parts(probs, clauses).expect("valid system")
-        })
-    })
-}
-
 fn connected_via_coins(view: &CoinView, group: &[usize]) -> bool {
     if group.len() <= 1 {
         return true;

@@ -13,17 +13,15 @@
 //! draws, attacker checks, which ladder rung resolved each object — into
 //! the run's [`PipelineStats`].
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use presky_core::pool::{ThreadBudget, ThreadLease};
 use presky_core::types::ObjectId;
 
 use presky_approx::sampler::sky_sam_view_with;
 use presky_approx::sprt::{sky_threshold_test_view, ThresholdDecision};
 use presky_exact::bounds::{sky_bounds_bonferroni, SkyBounds};
 use presky_exact::cache::{CacheEntry, ComponentCache};
-use presky_exact::det::{sky_det_view_with, DetOptions, PAR_MIN_ATTACKERS};
+use presky_exact::det::{sky_det_view_with, DetOptions};
 use presky_exact::signature::component_signature;
 
 use super::plan::{self, Plan, PlanReason};
@@ -42,7 +40,6 @@ pub(crate) fn execute(
     s: &mut SkyScratch,
     stats: &mut PipelineStats,
     cache: Option<CacheScope<'_>>,
-    pool: Option<&Arc<ThreadBudget>>,
 ) -> Result<SkyResult> {
     let t0 = Instant::now();
     let result = match plan {
@@ -52,7 +49,7 @@ pub(crate) fn execute(
             let mut hits = 0usize;
             let mut sky = 1.0;
             for g in 0..s.partition.n_groups() {
-                let (factor, hit) = component_factor(g, det, s, stats, cache, pool)?;
+                let (factor, hit) = component_factor(g, det, s, stats, cache)?;
                 sky *= factor;
                 hits += usize::from(hit);
             }
@@ -97,18 +94,15 @@ fn component_factor(
     s: &mut SkyScratch,
     stats: &mut PipelineStats,
     cache: Option<CacheScope<'_>>,
-    pool: Option<&Arc<ThreadBudget>>,
 ) -> Result<(f64, bool)> {
     let group = s.partition.group(g);
     if !s.work.restrict_canonical_into(group, &mut s.canon, &mut s.sub) {
         s.work.restrict_into(group, &mut s.remap, &mut s.sub);
-        let (det, _lease) = leased_det(det, s.sub.n_attackers(), pool);
         let out = sky_det_view_with(&s.sub, det, &mut s.det)?;
         stats.joints_computed += out.joints_computed;
         return Ok((out.sky, false));
     }
     let Some(scope) = cache else {
-        let (det, _lease) = leased_det(det, s.sub.n_attackers(), pool);
         let out = sky_det_view_with(&s.sub, det, &mut s.det)?;
         stats.joints_computed += out.joints_computed;
         return Ok((out.sky, false));
@@ -134,7 +128,6 @@ fn component_factor(
         stats.joints_computed += entry.joints_computed;
         return Ok((f64::from_bits(entry.sky_bits), true));
     }
-    let (det, _lease) = leased_det(det, s.sub.n_attackers(), pool);
     let out = sky_det_view_with(&s.sub, det, &mut s.det)?;
     stats.joints_computed += out.joints_computed;
     let entry = CacheEntry { sky_bits: out.sky.to_bits(), joints_computed: out.joints_computed };
@@ -145,34 +138,9 @@ fn component_factor(
     Ok((out.sky, false))
 }
 
-/// Cap on extra DFS threads one component may lease, independent of the
-/// pool's remaining allowance: the depth-3 split yields at most a few
-/// hundred jobs, and beyond ~8 workers the shared-ledger commits start to
-/// dominate on mid-size components.
-const MAX_EXTRA_THREADS: usize = 7;
-
-/// Lease extra DFS threads from the shared pool for one component solve.
-///
-/// The lease is taken only for components above the parallel size gate —
-/// small components would return the threads unused after paying the lease
-/// CAS. The returned guard refills the pool on drop, so threads flow back
-/// the moment the solve finishes.
-fn leased_det(
-    det: DetOptions,
-    n_attackers: usize,
-    pool: Option<&Arc<ThreadBudget>>,
-) -> (DetOptions, ThreadLease) {
-    let lease = match pool {
-        Some(pool) if n_attackers >= PAR_MIN_ATTACKERS => pool.lease(MAX_EXTRA_THREADS),
-        _ => ThreadLease::none(),
-    };
-    (det.with_threads(1 + lease.granted()), lease)
-}
-
 /// The escalation ladder on the prepared instance — rungs are plan
 /// refinements over one Prepare pass, cheapest first. The caller has
 /// already run [`super::prepare::prepare`] (and handled its short-circuit).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn threshold_ladder(
     target: ObjectId,
     tau: f64,
@@ -180,15 +148,13 @@ pub(crate) fn threshold_ladder(
     s: &mut SkyScratch,
     stats: &mut PipelineStats,
     cache: Option<CacheScope<'_>>,
-    pool: Option<&Arc<ThreadBudget>>,
 ) -> Result<ThresholdAnswer> {
     let t0 = Instant::now();
-    let answer = threshold_ladder_inner(target, tau, opts, s, stats, cache, pool);
+    let answer = threshold_ladder_inner(target, tau, opts, s, stats, cache);
     stats.execute_nanos += t0.elapsed().as_nanos() as u64;
     answer
 }
 
-#[allow(clippy::too_many_arguments)]
 fn threshold_ladder_inner(
     target: ObjectId,
     tau: f64,
@@ -196,7 +162,6 @@ fn threshold_ladder_inner(
     s: &mut SkyScratch,
     stats: &mut PipelineStats,
     cache: Option<CacheScope<'_>>,
-    pool: Option<&Arc<ThreadBudget>>,
 ) -> Result<ThresholdAnswer> {
     // Rung 1: certified bounds. Bonferroni on instances small enough that
     // level-2 enumeration stays cheap; the O(n·d) cheap bounds otherwise.
@@ -226,7 +191,7 @@ fn threshold_ladder_inner(
             .with_max_joints(opts.max_joints);
         let mut sky = 1.0;
         for g in 0..s.partition.n_groups() {
-            let (factor, _) = component_factor(g, det, s, stats, cache, pool)?;
+            let (factor, _) = component_factor(g, det, s, stats, cache)?;
             sky *= factor;
             if sky < tau {
                 // Remaining factors are ≤ 1: membership is already refuted

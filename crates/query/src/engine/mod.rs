@@ -24,13 +24,11 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use presky_core::batch::BatchCoinContext;
 use presky_core::coins::CoinView;
 use presky_core::epoch::AnswerStore;
-use presky_core::pool::ThreadBudget;
 use presky_core::preference::PreferenceModel;
 use presky_core::table::Table;
 use presky_core::types::ObjectId;
@@ -415,7 +413,6 @@ impl fmt::Display for PipelineStats {
 
 /// Prepare, plan and execute one preassembled `s.view`, returning the
 /// chosen [`Plan`] alongside the result.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn solve_view_explained(
     object: ObjectId,
     algo: Algorithm,
@@ -424,14 +421,13 @@ pub(crate) fn solve_view_explained(
     s: &mut SkyScratch,
     stats: &mut PipelineStats,
     cache: Option<CacheScope<'_>>,
-    pool: Option<&Arc<ThreadBudget>>,
 ) -> Result<(SkyResult, Plan)> {
     if let Some(short) = prepare::prepare(object, prep, s, stats) {
         return Ok((short, Plan::ShortCircuit));
     }
     let cache = if prep.component_cache { cache } else { None };
     let mut decided = plan::plan(algo, budget, s, stats);
-    let result = execute::execute(object, &mut decided, s, stats, cache, pool)?;
+    let result = execute::execute(object, &mut decided, s, stats, cache)?;
     Ok((result, decided))
 }
 
@@ -476,7 +472,6 @@ pub fn solve_one_explained<M: PreferenceModel>(
         scratch,
         stats,
         Some(CacheScope::new(&cache)),
-        None,
     )
 }
 
@@ -493,12 +488,11 @@ pub(crate) fn solve_one_explained_cached<M: PreferenceModel>(
     scratch: &mut SkyScratch,
     stats: &mut PipelineStats,
     cache: Option<CacheScope<'_>>,
-    pool: Option<&Arc<ThreadBudget>>,
 ) -> Result<(SkyResult, Plan)> {
     let t0 = Instant::now();
     scratch.view = CoinView::build(table, prefs, target)?;
     stats.prepare_nanos += t0.elapsed().as_nanos() as u64;
-    solve_view_explained(target, algo, budget, prep, scratch, stats, cache, pool)
+    solve_view_explained(target, algo, budget, prep, scratch, stats, cache)
 }
 
 /// One target through the batch assembly path (shared coin indexes).
@@ -513,9 +507,8 @@ pub(crate) fn solve_batch_one<M: PreferenceModel>(
     scratch: &mut SkyScratch,
     stats: &mut PipelineStats,
     cache: Option<CacheScope<'_>>,
-    pool: Option<&Arc<ThreadBudget>>,
 ) -> Result<SkyResult> {
-    solve_batch_one_explained(ctx, prefs, target, algo, budget, prep, scratch, stats, cache, pool)
+    solve_batch_one_explained(ctx, prefs, target, algo, budget, prep, scratch, stats, cache)
         .map(|(r, _)| r)
 }
 
@@ -531,12 +524,11 @@ pub(crate) fn solve_batch_one_explained<M: PreferenceModel>(
     scratch: &mut SkyScratch,
     stats: &mut PipelineStats,
     cache: Option<CacheScope<'_>>,
-    pool: Option<&Arc<ThreadBudget>>,
 ) -> Result<(SkyResult, Plan)> {
     let t0 = Instant::now();
     ctx.view_into(prefs, target, &mut scratch.batch, &mut scratch.view)?;
     stats.prepare_nanos += t0.elapsed().as_nanos() as u64;
-    solve_view_explained(target, algo, budget, prep, scratch, stats, cache, pool)
+    solve_view_explained(target, algo, budget, prep, scratch, stats, cache)
 }
 
 /// Decide `sky(target) ≥ τ` on a preassembled `s.view`: Prepare with the
@@ -548,7 +540,6 @@ pub(crate) fn threshold_view(
     s: &mut SkyScratch,
     stats: &mut PipelineStats,
     cache: Option<CacheScope<'_>>,
-    pool: Option<&Arc<ThreadBudget>>,
 ) -> Result<ThresholdAnswer> {
     if let Some(short) = prepare::prepare(target, PrepareOptions::default(), s, stats) {
         return Ok(ThresholdAnswer {
@@ -558,7 +549,7 @@ pub(crate) fn threshold_view(
         });
     }
     let cache = if opts.component_cache { cache } else { None };
-    execute::threshold_ladder(target, tau, opts, s, stats, cache, pool)
+    execute::threshold_ladder(target, tau, opts, s, stats, cache)
 }
 
 /// One threshold decision end to end (single-target assembly).
@@ -575,7 +566,7 @@ pub fn threshold_solve_one<M: PreferenceModel>(
     scratch.view = CoinView::build(table, prefs, target)?;
     stats.prepare_nanos += t0.elapsed().as_nanos() as u64;
     let cache = ComponentCache::default();
-    threshold_view(target, tau, opts, scratch, stats, Some(CacheScope::new(&cache)), None)
+    threshold_view(target, tau, opts, scratch, stats, Some(CacheScope::new(&cache)))
 }
 
 /// One threshold decision through the batch assembly path.
@@ -589,12 +580,11 @@ pub(crate) fn threshold_batch_one<M: PreferenceModel>(
     scratch: &mut SkyScratch,
     stats: &mut PipelineStats,
     cache: Option<CacheScope<'_>>,
-    pool: Option<&Arc<ThreadBudget>>,
 ) -> Result<ThresholdAnswer> {
     let t0 = Instant::now();
     ctx.view_into(prefs, target, &mut scratch.batch, &mut scratch.view)?;
     stats.prepare_nanos += t0.elapsed().as_nanos() as u64;
-    threshold_view(target, tau, opts, scratch, stats, cache, pool)
+    threshold_view(target, tau, opts, scratch, stats, cache)
 }
 
 // ------------------------------------------------------ parallel driver
@@ -609,9 +599,9 @@ pub(crate) fn effective_threads(requested: Option<usize>, n: usize) -> usize {
     presky_core::num_threads(requested).clamp(1, n.max(1))
 }
 
-/// Run `f(i, scratch, stats, pool)` for every `i in 0..n` across
-/// `threads` workers, returning the stitched results and the merged
-/// per-worker [`PipelineStats`].
+/// Run `f(i, scratch, stats)` for every `i in 0..n` across `threads`
+/// workers, returning the stitched results and the merged per-worker
+/// [`PipelineStats`].
 ///
 /// Work is dispatched in contiguous chunks of [`CHUNK`] indices; each
 /// worker owns a private [`SkyScratch`] and [`PipelineStats`] and appends
@@ -619,23 +609,11 @@ pub(crate) fn effective_threads(requested: Option<usize>, n: usize) -> usize {
 /// index order afterwards — no shared mutex. A panic in any worker is
 /// re-raised on the caller's thread with its original payload after all
 /// workers have been joined.
-///
-/// `spare` threads beyond the `threads` batch workers are pooled in one
-/// [`ThreadBudget`] for the whole batch; workers lease from it for
-/// intra-component parallel DFS, so the batch fan-out and the
-/// per-component fan-out draw from one allowance and never oversubscribe
-/// the host.
-pub(crate) fn run_chunked<T, F>(
-    n: usize,
-    threads: usize,
-    spare: usize,
-    f: F,
-) -> (Vec<T>, PipelineStats)
+pub(crate) fn run_chunked<T, F>(n: usize, threads: usize, f: F) -> (Vec<T>, PipelineStats)
 where
     T: Send,
-    F: Fn(usize, &mut SkyScratch, &mut PipelineStats, &Arc<ThreadBudget>) -> T + Sync,
+    F: Fn(usize, &mut SkyScratch, &mut PipelineStats) -> T + Sync,
 {
-    let pool = ThreadBudget::new(spare);
     let next = AtomicUsize::new(0);
     let mut collected: Vec<(usize, Vec<T>)> = Vec::new();
     let mut stats = PipelineStats::default();
@@ -655,7 +633,7 @@ where
                         let end = (start + CHUNK).min(n);
                         let mut chunk = Vec::with_capacity(end - start);
                         for i in start..end {
-                            chunk.push(f(i, &mut scratch, &mut local, &pool));
+                            chunk.push(f(i, &mut scratch, &mut local));
                         }
                         parts.push((start, chunk));
                     }

@@ -14,10 +14,11 @@
 //! 5. **independence partition** (Theorem 4) — connected components of the
 //!    coin-overlap graph, left in CSR form in `SkyScratch::partition`.
 //!
-//! Each stage can be toggled via [`PrepareOptions`] (for ablations and
-//! raw-algorithm baselines); the default runs everything, which is the
-//! configuration every query entry point uses. Every run records its
-//! reductions and wall-time into a [`PipelineStats`].
+//! Steps 1 and 2 always run: the exact engine's values depend on them.
+//! Absorption and the partition can be toggled via [`PrepareOptions`] (for
+//! ablations and raw-algorithm baselines); the default runs everything,
+//! which is the configuration every query entry point uses. Every run
+//! records its reductions and wall-time into a [`PipelineStats`].
 
 use std::time::Instant;
 
@@ -75,20 +76,17 @@ impl Default for SkyScratch {
     }
 }
 
-/// Which Prepare stages run.
+/// Which optional Prepare stages run.
 ///
-/// The default enables everything — the configuration whose results are
+/// The certain-attacker short-circuit and impossible-coin pruning always
+/// run (they are exactness requirements, not optimisations). The default
+/// enables everything else too — the configuration whose results are
 /// proptest-guarded to be bit-identical across every entry point. Turning
 /// stages off is value-preserving but changes cost: it exists for the
 /// bench ablations and for the CLI's raw-algorithm labels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct PrepareOptions {
-    /// Exit with an exact `sky = 0` when some attacker dominates with
-    /// certainty (every coin probability 1).
-    pub short_circuit: bool,
-    /// Drop attackers containing a probability-0 coin.
-    pub prune_impossible: bool,
     /// Absorption (Theorem 3): drop attackers whose coin set is a superset
     /// of another attacker's.
     pub absorption: bool,
@@ -106,13 +104,7 @@ pub struct PrepareOptions {
 
 impl Default for PrepareOptions {
     fn default() -> Self {
-        Self {
-            short_circuit: true,
-            prune_impossible: true,
-            absorption: true,
-            partition: true,
-            component_cache: true,
-        }
+        Self { absorption: true, partition: true, component_cache: true }
     }
 }
 
@@ -123,29 +115,11 @@ impl PrepareOptions {
     }
 
     /// Soundness-only preparation: the short-circuit and impossible-coin
-    /// pruning stay on (they are exactness requirements, not
-    /// optimisations), but absorption and partition are skipped. This is
-    /// the raw-`Det`/`Sam` baseline mode of the CLI and the ablations.
+    /// pruning run as always, but absorption and partition are skipped.
+    /// This is the raw-`Det`/`Sam` baseline mode of the CLI and the
+    /// ablations.
     pub fn minimal() -> Self {
-        Self {
-            short_circuit: true,
-            prune_impossible: true,
-            absorption: false,
-            partition: false,
-            component_cache: true,
-        }
-    }
-
-    /// Chainable: toggle the certain-attacker short-circuit.
-    pub fn with_short_circuit(mut self, on: bool) -> Self {
-        self.short_circuit = on;
-        self
-    }
-
-    /// Chainable: toggle impossible-coin pruning.
-    pub fn with_prune_impossible(mut self, on: bool) -> Self {
-        self.prune_impossible = on;
-        self
+        Self { absorption: false, partition: false, component_cache: true }
     }
 
     /// Chainable: toggle absorption.
@@ -187,14 +161,12 @@ pub(crate) fn prepare(
     // world: sky = 0 exactly, no pipeline needed. (The inclusion–exclusion
     // engine would reach ~0 only up to float cancellation, so this exit
     // must sit in the shared path for all drivers to agree bitwise.)
-    if opts.short_circuit && s.view.has_certain_attacker() {
+    if s.view.has_certain_attacker() {
         stats.short_circuited += 1;
         stats.prepare_nanos += t0.elapsed().as_nanos() as u64;
         return Some(SkyResult { object, sky: 0.0, exact: true });
     }
-    if opts.prune_impossible {
-        stats.pruned_impossible += s.view.prune_impossible() as u64;
-    }
+    stats.pruned_impossible += s.view.prune_impossible() as u64;
     if opts.absorption {
         absorb_into(&s.view, &mut s.absorb, &mut s.absorbed);
     } else {

@@ -30,11 +30,9 @@
 //! threshold and top-k still compute every target.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use presky_core::batch::BatchCoinContext;
 use presky_core::epoch::{AnswerStore, PreparedShape, StoredAnswer};
-use presky_core::pool::ThreadBudget;
 use presky_core::preference::PreferenceModel;
 use presky_core::types::ObjectId;
 
@@ -171,11 +169,10 @@ pub fn all_sky_resident<M: PreferenceModel + Sync>(
 ) -> Result<ResidentOutcome<SkyResult>> {
     let n = ctx.n_objects();
     let threads = super::effective_threads(opts.threads, n);
-    let spare = presky_core::num_threads(opts.threads).saturating_sub(threads);
     let prep = PrepareOptions::default().with_component_cache(opts.component_cache);
     let answers = answer_store(opts, cache);
     let ledger = Ledger::new(&budget);
-    let (results, stats) = super::run_chunked(n, threads, spare, |i, scratch, stats, pool| {
+    let (results, stats) = super::run_chunked(n, threads, |i, scratch, stats| {
         run_budgeted(&ledger, &budget, stats, |per_object, stats| {
             let algo = reseed(opts.algorithm, i as u64);
             solve_recorded(
@@ -188,7 +185,6 @@ pub fn all_sky_resident<M: PreferenceModel + Sync>(
                 scratch,
                 stats,
                 cache,
-                Some(pool),
                 answers,
             )
         })
@@ -218,9 +214,6 @@ pub fn sky_one_resident<M: PreferenceModel>(
     let ledger = Ledger::new(&budget);
     let mut scratch = SkyScratch::default();
     let mut stats = PipelineStats::default();
-    // A single-target request has no batch fan-out: every thread beyond
-    // the caller's own is spare, available to the parallel DFS.
-    let pot = ThreadBudget::new(presky_core::num_threads(opts.threads).saturating_sub(1));
     let result = run_budgeted(&ledger, &budget, &mut stats, |per_object, stats| {
         let stored = answers.and_then(|store| store.get(target));
         if let Some(answer) = stored.filter(|a| reusable(opts.algorithm, per_object, a)) {
@@ -242,7 +235,6 @@ pub fn sky_one_resident<M: PreferenceModel>(
             &mut scratch,
             stats,
             cache,
-            Some(&pot),
             answers,
         )
     })?;
@@ -269,12 +261,11 @@ fn solve_recorded<M: PreferenceModel>(
     scratch: &mut SkyScratch,
     stats: &mut PipelineStats,
     cache: Option<CacheScope<'_>>,
-    pool: Option<&Arc<ThreadBudget>>,
     answers: Option<&AnswerStore>,
 ) -> Result<SkyResult> {
     let joints_before = stats.joints_computed;
     let (result, decided) = super::solve_batch_one_explained(
-        ctx, prefs, target, algo, budget, prep, scratch, stats, cache, pool,
+        ctx, prefs, target, algo, budget, prep, scratch, stats, cache,
     )?;
     let shape = match &decided {
         Plan::ShortCircuit => Some(PreparedShape::default()),
@@ -330,10 +321,9 @@ pub fn threshold_resident<M: PreferenceModel + Sync>(
     validate_tau(tau)?;
     let n = ctx.n_objects();
     let threads = super::effective_threads(opts.threads, n);
-    let spare = presky_core::num_threads(opts.threads).saturating_sub(threads);
     let ledger = Ledger::new(&budget);
     let base_deadline = earlier(opts.deadline_at, budget.deadline_at);
-    let (results, stats) = super::run_chunked(n, threads, spare, |i, scratch, stats, pool| {
+    let (results, stats) = super::run_chunked(n, threads, |i, scratch, stats| {
         run_budgeted(&ledger, &budget, stats, |per_object, stats| {
             let per_opts = opts
                 .with_deadline_at(base_deadline)
@@ -347,7 +337,6 @@ pub fn threshold_resident<M: PreferenceModel + Sync>(
                 scratch,
                 stats,
                 cache,
-                Some(pool),
             )
         })
     });
@@ -399,9 +388,6 @@ pub fn top_k_resident<M: PreferenceModel + Sync>(
     let mut refined: Vec<SkyResult> = Vec::with_capacity(cut);
     let mut scratch = SkyScratch::default();
     let prep = PrepareOptions::default().with_component_cache(opts.component_cache);
-    // Refine is serial over candidates, so the full thread allowance
-    // minus the refine loop itself is spare for the parallel DFS.
-    let pot = ThreadBudget::new(presky_core::num_threads(opts.threads).saturating_sub(1));
     for r in &scouted[..cut] {
         if r.exact {
             refined.push(*r);
@@ -422,7 +408,6 @@ pub fn top_k_resident<M: PreferenceModel + Sync>(
                 &mut scratch,
                 stats,
                 cache,
-                Some(&pot),
             )
         })?;
         // A refine trip keeps the scout estimate: correct, just coarser.

@@ -423,11 +423,10 @@ pub fn sensitivity_resident<M: PreferenceModel + Sync>(
 ) -> Result<ResidentOutcome<TargetSensitivity>> {
     let n = ctx.n_objects();
     let threads = super::effective_threads(opts.threads, n);
-    let spare = presky_core::num_threads(opts.threads).saturating_sub(threads);
     let ledger = Ledger::new(&budget);
     let memo = opts.component_cache.then(GradMemo::default);
     let cache = if opts.component_cache { cache } else { None };
-    let (results, stats) = super::run_chunked(n, threads, spare, |i, scratch, stats, _pool| {
+    let (results, stats) = super::run_chunked(n, threads, |i, scratch, stats| {
         run_budgeted(&ledger, &budget, stats, |per_object, stats| {
             sensitivity_batch_one(
                 ctx,

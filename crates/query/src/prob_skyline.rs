@@ -85,7 +85,9 @@ pub struct SkyResult {
 pub struct QueryOptions {
     /// Per-object policy.
     pub algorithm: Algorithm,
-    /// Worker threads (`None` = available parallelism).
+    /// Worker threads of the all-objects fan-out (`None` = available
+    /// parallelism). Each target is solved on one thread, so a
+    /// single-target read runs on the calling thread.
     pub threads: Option<usize>,
     /// Share exact component results across targets through the
     /// hash-consed component cache. Results are bit-identical either way
@@ -147,9 +149,8 @@ pub(crate) fn all_sky_with_stats_cached<M: PreferenceModel + Sync>(
     let ctx = BatchCoinContext::build(table)?;
     let n = table.len();
     let threads = engine::effective_threads(opts.threads, n);
-    let spare = presky_core::num_threads(opts.threads).saturating_sub(threads);
     let prep = PrepareOptions { component_cache: opts.component_cache, ..Default::default() };
-    let (results, stats) = engine::run_chunked(n, threads, spare, |i, scratch, stats, pool| {
+    let (results, stats) = engine::run_chunked(n, threads, |i, scratch, stats| {
         // Per-object seed decorrelation for sampling policies.
         let algo = reseed(opts.algorithm, i as u64);
         engine::solve_batch_one(
@@ -162,7 +163,6 @@ pub(crate) fn all_sky_with_stats_cached<M: PreferenceModel + Sync>(
             scratch,
             stats,
             cache,
-            Some(pool),
         )
     });
     let results = results.into_iter().collect::<Result<Vec<_>>>()?;

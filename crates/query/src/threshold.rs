@@ -87,7 +87,8 @@ pub struct ThresholdOptions {
     pub sprt: SprtOptions,
     /// Fallback fixed-budget sampler for undecided objects.
     pub fallback: SamOptions,
-    /// Worker threads (`None` = available parallelism).
+    /// Worker threads of the all-objects fan-out (`None` = available
+    /// parallelism). Each target is decided on one thread.
     pub threads: Option<usize>,
     /// Share exact-rung component results across targets through the
     /// hash-consed component cache (bit-identical either way).
@@ -214,9 +215,8 @@ pub(crate) fn threshold_skyline_inner<M: PreferenceModel + Sync>(
     let ctx = BatchCoinContext::build(table)?;
     let n = table.len();
     let threads = engine::effective_threads(opts.threads, n);
-    let spare = presky_core::num_threads(opts.threads).saturating_sub(threads);
     let cache = ComponentCache::default();
-    let (answers, stats) = engine::run_chunked(n, threads, spare, |i, scratch, stats, pool| {
+    let (answers, stats) = engine::run_chunked(n, threads, |i, scratch, stats| {
         engine::threshold_batch_one(
             &ctx,
             prefs,
@@ -226,7 +226,6 @@ pub(crate) fn threshold_skyline_inner<M: PreferenceModel + Sync>(
             scratch,
             stats,
             Some(engine::CacheScope::new(&cache)),
-            Some(pool),
         )
     });
     let answers = answers.into_iter().collect::<Result<Vec<_>>>()?;

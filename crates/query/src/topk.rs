@@ -45,7 +45,9 @@ pub struct TopKOptions {
     pub exact_component_limit: usize,
     /// Refine `k · overfetch` candidates (≥ 1).
     pub overfetch: usize,
-    /// Worker threads (`None` = available parallelism).
+    /// Worker threads of the scout phase's all-objects fan-out (`None` =
+    /// available parallelism). The refine phase runs on the calling
+    /// thread.
     pub threads: Option<usize>,
     /// Share exact component results between the scout and refine phases
     /// through one hash-consed component cache (bit-identical either way).
@@ -153,11 +155,6 @@ pub(crate) fn top_k_inner<M: PreferenceModel + Sync>(
     let mut scratch = SkyScratch::default();
     let mut stats = PipelineStats::default();
     let prep = PrepareOptions { component_cache: opts.component_cache, ..Default::default() };
-    // Refine runs serially: everything beyond this loop's own thread is
-    // spare for the parallel exact DFS.
-    let pot = presky_core::pool::ThreadBudget::new(
-        presky_core::num_threads(opts.threads).saturating_sub(1),
-    );
     for r in &scouted[..cut] {
         if r.exact {
             refined.push(*r);
@@ -178,7 +175,6 @@ pub(crate) fn top_k_inner<M: PreferenceModel + Sync>(
                 &mut scratch,
                 &mut stats,
                 cache,
-                Some(&pot),
             )?;
             refined.push(result);
         }

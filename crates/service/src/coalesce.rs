@@ -181,7 +181,6 @@ impl Sig {
         self.opt_u64(det.deadline.map(|d| d.as_nanos() as u64));
         self.absent_deadline(det.deadline_at);
         self.opt_u64(det.max_joints);
-        self.u64(det.threads as u64);
         self.bool(det.prune_zero);
         self.bool(det.prune_covered);
     }
