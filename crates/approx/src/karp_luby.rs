@@ -27,17 +27,15 @@
 //! attacker's AND-of-masks word. The estimator's distribution is
 //! unchanged; only the world layout is batched.
 //!
-//! With [`KarpLubyOptions::lane_words`] `> 1` the forced-coin Bernoulli
-//! masks are materialised as multi-word superblocks (per-word keys and
-//! selection streams, exactly the sampler's widening scheme), while the
-//! selection and `1/c` accumulation walk words — hence worlds — in order.
-//! Estimates are bit-identical at every width.
+//! The forced-coin Bernoulli masks are materialised four words (256
+//! worlds) at a time, with per-word keys and selection streams exactly as
+//! in the sampler's superblocks, while the selection and `1/c`
+//! accumulation walk words — hence worlds — in order.
 
 use std::time::{Duration, Instant};
 
 use presky_core::bitworlds::{
-    bernoulli_masks_wide, normalize_lane_words, superblock_keys, superblock_lane_mask, threshold,
-    CERTAIN, DEFAULT_LANE_WORDS,
+    bernoulli_masks_wide, superblock_keys, superblock_lane_mask, threshold, CERTAIN, LANE_WORDS,
 };
 use presky_core::coins::CoinView;
 use presky_core::preference::PreferenceModel;
@@ -54,14 +52,11 @@ pub struct KarpLubyOptions {
     pub samples: u64,
     /// RNG seed.
     pub seed: u64,
-    /// Kernel lane width in words (normalised to {1, 2, 4, 8}); estimates
-    /// are bit-identical at every width.
-    pub lane_words: usize,
 }
 
 impl Default for KarpLubyOptions {
     fn default() -> Self {
-        Self { samples: 3000, seed: 0, lane_words: DEFAULT_LANE_WORDS }
+        Self { samples: 3000, seed: 0 }
     }
 }
 
@@ -75,13 +70,6 @@ impl KarpLubyOptions {
     /// Chainable: set the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Chainable: set the kernel lane width in words (normalised to
-    /// {1, 2, 4, 8}; estimates do not depend on it).
-    pub fn with_lane_words(mut self, lane_words: usize) -> Self {
-        self.lane_words = lane_words;
         self
     }
 }
@@ -141,12 +129,7 @@ pub fn sky_karp_luby_view(view: &CoinView, opts: KarpLubyOptions) -> Result<Karp
     }
 
     let thresholds: Vec<u64> = view.coin_probs().iter().map(|&p| threshold(p)).collect();
-    let sum_inv_c = match normalize_lane_words(opts.lane_words) {
-        1 => run_karp_luby::<1>(view, opts, &cumulative, &thresholds, total_mass),
-        2 => run_karp_luby::<2>(view, opts, &cumulative, &thresholds, total_mass),
-        8 => run_karp_luby::<8>(view, opts, &cumulative, &thresholds, total_mass),
-        _ => run_karp_luby::<4>(view, opts, &cumulative, &thresholds, total_mass),
-    };
+    let sum_inv_c = run_karp_luby(view, opts, &cumulative, &thresholds, total_mass);
 
     let union_estimate = total_mass * sum_inv_c / opts.samples as f64;
     Ok(KarpLubyOutcome {
@@ -158,14 +141,13 @@ pub fn sky_karp_luby_view(view: &CoinView, opts: KarpLubyOptions) -> Result<Karp
     })
 }
 
-/// The conditioned-world loop at lane width `W`: returns `Σ 1/c` over all
-/// sampled worlds, accumulated in world order so the value is bit-identical
-/// at every width.
+/// The conditioned-world loop: returns `Σ 1/c` over all sampled worlds,
+/// accumulated in world order.
 ///
 /// Word `w` of superblock `sb` reuses the key — and the auxiliary
-/// attacker-selection stream — of narrow block `sb·W + w`; only the
-/// Bernoulli mask materialisation is genuinely wide.
-fn run_karp_luby<const W: usize>(
+/// attacker-selection stream — of block `4·sb + w`; only the Bernoulli
+/// mask materialisation is genuinely wide.
+fn run_karp_luby(
     view: &CoinView,
     opts: KarpLubyOptions,
     cumulative: &[f64],
@@ -177,20 +159,20 @@ fn run_karp_luby<const W: usize>(
     // The attacker-selection stream sits in the auxiliary id space so it
     // can never collide with a coin stream.
     const SELECT_STREAM: u64 = presky_core::bitworlds::AUX_STREAM;
-    let mut masks = vec![[0u64; W]; m_coins];
-    let mut forced = vec![[0u64; W]; m_coins];
+    let mut masks = vec![[0u64; LANE_WORDS]; m_coins];
+    let mut forced = vec![[0u64; LANE_WORDS]; m_coins];
     let mut sum_inv_c = 0.0;
 
-    for sb in 0..opts.samples.div_ceil(64 * W as u64) {
-        let lane_mask = superblock_lane_mask::<W>(opts.samples, sb);
-        let keys = superblock_keys::<W>(opts.seed, sb);
+    for sb in 0..opts.samples.div_ceil(64 * LANE_WORDS as u64) {
+        let lane_mask = superblock_lane_mask(opts.samples, sb);
+        let keys = superblock_keys(opts.seed, sb);
 
         // Per-lane weighted attacker selection; the chosen coins become
         // forced bits of this superblock's masks.
         for f in forced.iter_mut() {
-            *f = [0; W];
+            *f = [0; LANE_WORDS];
         }
-        for w in 0..W {
+        for w in 0..LANE_WORDS {
             let mut sel = keys[w].stream(SELECT_STREAM);
             let lanes = lane_mask[w].count_ones() as usize;
             for lane in 0..lanes {
@@ -207,23 +189,23 @@ fn run_karp_luby<const W: usize>(
         for (k, m) in masks.iter_mut().enumerate() {
             let t = thresholds[k];
             let bernoulli = match t {
-                0 => [0; W],
-                CERTAIN => [u64::MAX; W],
+                0 => [0; LANE_WORDS],
+                CERTAIN => [u64::MAX; LANE_WORDS],
                 _ => bernoulli_masks_wide(&keys, k as u64, t),
             };
-            for w in 0..W {
+            for w in 0..LANE_WORDS {
                 m[w] = bernoulli[w] | forced[k][w];
             }
         }
 
         // Per-lane domination counts from the set bits of each attacker's
         // AND-of-masks words (each lane's count is ≥ 1: its own selection).
-        let mut counts = [[0u32; 64]; W];
+        let mut counts = [[0u32; 64]; LANE_WORDS];
         for j in 0..n {
             let mut d = lane_mask;
             for &k in view.attacker_coins(j) {
                 let mut pending = 0u64;
-                for w in 0..W {
+                for w in 0..LANE_WORDS {
                     d[w] &= masks[k as usize][w];
                     pending |= d[w];
                 }
@@ -231,7 +213,7 @@ fn run_karp_luby<const W: usize>(
                     break;
                 }
             }
-            for w in 0..W {
+            for w in 0..LANE_WORDS {
                 let mut dw = d[w];
                 while dw != 0 {
                     counts[w][dw.trailing_zeros() as usize] += 1;
@@ -239,7 +221,7 @@ fn run_karp_luby<const W: usize>(
                 }
             }
         }
-        for w in 0..W {
+        for w in 0..LANE_WORDS {
             let lanes = lane_mask[w].count_ones() as usize;
             for &c in counts[w].iter().take(lanes) {
                 debug_assert!(c >= 1);
@@ -291,24 +273,6 @@ mod tests {
         .unwrap();
         let rel = ((1.0 - out.estimate) - (1.0 - exact)).abs() / (1.0 - exact);
         assert!(rel < 0.01, "relative error {rel}");
-    }
-
-    #[test]
-    fn estimates_are_bit_identical_at_every_lane_width() {
-        let (t, p) = example1();
-        for m in [100u64, 1000, 5000] {
-            let base = KarpLubyOptions::default().with_samples(m).with_seed(13);
-            let narrow = sky_karp_luby(&t, &p, ObjectId(0), base.with_lane_words(1)).unwrap();
-            for w in [2usize, 4, 8] {
-                let wide = sky_karp_luby(&t, &p, ObjectId(0), base.with_lane_words(w)).unwrap();
-                assert_eq!(
-                    narrow.union_estimate.to_bits(),
-                    wide.union_estimate.to_bits(),
-                    "m {m} width {w}"
-                );
-                assert_eq!(narrow.estimate.to_bits(), wide.estimate.to_bits());
-            }
-        }
     }
 
     #[test]

@@ -55,8 +55,7 @@ pub mod prelude {
     };
     pub use crate::sac::{sac_is_exact, sky_sac, sky_sac_view};
     pub use crate::sampler::{
-        sky_sam, sky_sam_antithetic, sky_sam_antithetic_view, sky_sam_view, sky_sam_view_with,
-        SamOptions, SamOutcome, SamScratch,
+        sky_sam, sky_sam_view, sky_sam_view_with, SamOptions, SamOutcome, SamScratch,
     };
     pub use crate::sprt::{
         sky_threshold_test, sky_threshold_test_view, SprtOptions, SprtOutcome, ThresholdDecision,

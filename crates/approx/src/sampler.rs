@@ -41,14 +41,11 @@
 //! lanes out of both the hit count and the telemetry, so the estimate
 //! denominator is exactly `opts.samples`.
 //!
-//! **Lane width.** [`SamOptions::lane_words`] selects how many 64-world
-//! words the kernel advances per step (a *superblock* of `64 × W` worlds;
-//! default `W = 4`, one AVX2 register, with a runtime-detected AVX2
-//! compilation of the same code). Word `w` of superblock `sb` is keyed as
-//! narrow block `sb·W + w`, so the masks — and therefore the estimates —
-//! are **bit-identical at every width**; only throughput and the lazy
-//! telemetry change, and eager runs still count exactly
-//! `samples × n_coins` coin draws at any width.
+//! **Superblocks.** The kernel advances four 64-world words — a
+//! *superblock* of 256 worlds, one AVX2 register — per step, through a
+//! runtime-detected AVX2 compilation where the CPU offers it. Word `w` of
+//! superblock `sb` is keyed as block `4·sb + w`, so the estimate and the
+//! telemetry are exactly those of a walk over single 64-world blocks.
 //!
 //! The scalar world-at-a-time loop remains available as the ablation
 //! baseline via `bit_parallel: false`; it draws from a *different*
@@ -60,10 +57,7 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use presky_core::bitworlds::{
-    normalize_lane_words, superblock_lane_mask, survivors_wide, survivors_wide4,
-    survivors_wide4_antithetic, survivors_wide_antithetic, WideScratch, DEFAULT_LANE_WORDS,
-};
+use presky_core::bitworlds::{superblock_lane_mask, survivors_wide, WideScratch, LANE_WORDS};
 use presky_core::coins::CoinView;
 use presky_core::preference::PreferenceModel;
 use presky_core::table::Table;
@@ -92,16 +86,11 @@ pub struct SamOptions {
     /// the two paths use different RNG streams, so they agree within the
     /// Hoeffding ε but not bit-for-bit.
     pub bit_parallel: bool,
-    /// Words per kernel step (`64 × lane_words` worlds per superblock).
-    /// Normalised to the supported set {1, 2, 4, 8} by rounding down;
-    /// estimates are bit-identical at every width, so this is purely a
-    /// throughput knob. Ignored by the scalar loop.
-    pub lane_words: usize,
-    /// Optional absolute wall-clock cut-off. Checked between 64-world
-    /// blocks (bit-parallel) or every 64 worlds (scalar); on expiry the run
-    /// aborts with [`ApproxError::DeadlineExceeded`] rather than returning
-    /// a partial estimate, so every returned estimate is bit-identical to
-    /// an unbudgeted run with the same seed.
+    /// Optional absolute wall-clock cut-off. Checked between 256-world
+    /// superblocks (bit-parallel) or every 64 worlds (scalar); on expiry the
+    /// run aborts with [`ApproxError::DeadlineExceeded`] rather than
+    /// returning a partial estimate, so every returned estimate is
+    /// bit-identical to an unbudgeted run with the same seed.
     pub deadline_at: Option<Instant>,
 }
 
@@ -114,7 +103,6 @@ impl SamOptions {
             sort_checking: true,
             lazy: true,
             bit_parallel: true,
-            lane_words: DEFAULT_LANE_WORDS,
             deadline_at: None,
         }
     }
@@ -146,13 +134,6 @@ impl SamOptions {
     /// Chainable: toggle the 64-worlds-per-word kernel.
     pub fn with_bit_parallel(mut self, on: bool) -> Self {
         self.bit_parallel = on;
-        self
-    }
-
-    /// Chainable: set the kernel lane width in words (normalised to
-    /// {1, 2, 4, 8}; estimates do not depend on it).
-    pub fn with_lane_words(mut self, lane_words: usize) -> Self {
-        self.lane_words = lane_words;
         self
     }
 
@@ -243,71 +224,28 @@ pub struct SamScratch {
     /// `base + h`, so stale stamps from earlier runs (all `≤ base`) can
     /// never alias a current world and the stamp array needs no clearing.
     generation: u64,
-    /// Bit-parallel kernel state per supported lane width (thresholds,
-    /// mask cache, telemetry). Only the width a run selects is touched;
-    /// the others stay empty.
-    bits1: WideScratch<1>,
-    bits2: WideScratch<2>,
-    bits4: WideScratch<4>,
-    bits8: WideScratch<8>,
+    /// Bit-parallel kernel state (thresholds, mask cache, telemetry).
+    bits: WideScratch,
 }
 
-/// One bit-parallel run at lane width `W`: superblock loop, deadline
-/// checks between superblocks, dead-lane masking on the final partial
-/// superblock. Returns `(hits, coin_draws, attacker_checks)`.
-///
-/// `kernel` is the superblock evaluator — the portable generic for most
-/// widths, the runtime-dispatched AVX2 build for `W = 4`.
-#[allow(clippy::type_complexity)]
-fn run_wide<const W: usize>(
+/// One bit-parallel run: superblock loop, deadline checks between
+/// superblocks, dead-lane masking on the final partial superblock.
+/// Returns `(hits, coin_draws, attacker_checks)`.
+fn run_wide(
     view: &CoinView,
     order: &[usize],
     opts: &SamOptions,
     start: Instant,
-    kernel: fn(&CoinView, &[usize], u64, u64, &[u64; W], bool, &mut WideScratch<W>) -> [u64; W],
-    bits: &mut WideScratch<W>,
+    bits: &mut WideScratch,
 ) -> Result<(u64, u64, u64)> {
     bits.prepare(view);
-    let worlds_per = 64 * W as u64;
+    let worlds_per = 64 * LANE_WORDS as u64;
     let mut hits = 0u64;
     for sb in 0..opts.samples.div_ceil(worlds_per) {
         check_deadline(opts, start, sb * worlds_per)?;
-        let lane_mask = superblock_lane_mask::<W>(opts.samples, sb);
-        let live = kernel(view, order, opts.seed, sb, &lane_mask, opts.lazy, bits);
+        let lane_mask = superblock_lane_mask(opts.samples, sb);
+        let live = survivors_wide(view, order, opts.seed, sb, &lane_mask, opts.lazy, bits);
         hits += live.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
-    }
-    Ok((hits, bits.coin_draws, bits.attacker_checks))
-}
-
-/// Antithetic counterpart of [`run_wide`]: lane `j` of each word carries a
-/// mirrored world pair, `total_pairs` pairs in all.
-#[allow(clippy::type_complexity)]
-fn run_wide_antithetic<const W: usize>(
-    view: &CoinView,
-    order: &[usize],
-    opts: &SamOptions,
-    start: Instant,
-    pairs: u64,
-    kernel: fn(
-        &CoinView,
-        &[usize],
-        u64,
-        u64,
-        &[u64; W],
-        bool,
-        &mut WideScratch<W>,
-    ) -> ([u64; W], [u64; W]),
-    bits: &mut WideScratch<W>,
-) -> Result<(u64, u64, u64)> {
-    bits.prepare(view);
-    let pairs_per = 64 * W as u64;
-    let mut hits = 0u64;
-    for sb in 0..pairs.div_ceil(pairs_per) {
-        check_deadline(opts, start, sb * pairs_per * 2)?;
-        let lane_mask = superblock_lane_mask::<W>(pairs, sb);
-        let (live_p, live_m) = kernel(view, order, opts.seed, sb, &lane_mask, opts.lazy, bits);
-        hits += live_p.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
-        hits += live_m.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
     }
     Ok((hits, bits.coin_draws, bits.attacker_checks))
 }
@@ -332,13 +270,8 @@ pub fn sky_sam_view_with(
         scratch.order.extend(0..n);
     }
     if opts.bit_parallel {
-        let order = &scratch.order;
-        let (hits, coin_draws, attacker_checks) = match normalize_lane_words(opts.lane_words) {
-            1 => run_wide::<1>(view, order, &opts, start, survivors_wide::<1>, &mut scratch.bits1),
-            2 => run_wide::<2>(view, order, &opts, start, survivors_wide::<2>, &mut scratch.bits2),
-            8 => run_wide::<8>(view, order, &opts, start, survivors_wide::<8>, &mut scratch.bits8),
-            _ => run_wide::<4>(view, order, &opts, start, survivors_wide4, &mut scratch.bits4),
-        }?;
+        let (hits, coin_draws, attacker_checks) =
+            run_wide(view, &scratch.order, &opts, start, &mut scratch.bits)?;
         return Ok(SamOutcome {
             estimate: hits as f64 / opts.samples as f64,
             samples: opts.samples,
@@ -411,141 +344,11 @@ pub fn sky_sam_view_with(
     })
 }
 
-/// `Sam` with **antithetic** world pairs — a guaranteed variance reduction
-/// (extension; not in the paper).
-///
-/// Worlds are drawn in pairs: the second world of a pair reuses the first
-/// world's uniforms mirrored (`u → 1 − u`), so a coin that won in the
-/// first world loses in the second whenever the threshold allows. The
-/// skyline indicator is *monotone decreasing* in the coin wins (more
-/// winning coins can only create more dominators), so the two halves of a
-/// pair are negatively correlated and
-/// `Var[(X + X') / 2] ≤ Var[X] / 2` — the classical antithetic-variates
-/// argument applies soundly, unlike for non-monotone estimands.
-///
-/// The estimate remains unbiased; `m` is rounded up to an even count.
-/// Implementation note: mirroring must happen at the *coin* level, so the
-/// antithetic pass replays the same lazy evaluation order with stored
-/// uniforms rather than fresh ones.
-pub fn sky_sam_antithetic_view(view: &CoinView, opts: SamOptions) -> Result<SamOutcome> {
-    if opts.samples == 0 {
-        return Err(ApproxError::ZeroSamples);
-    }
-    let start = Instant::now();
-    let n = view.n_attackers();
-    let m_coins = view.n_coins();
-    let order: Vec<usize> =
-        if opts.sort_checking { view.checking_sequence() } else { (0..n).collect() };
-    let pairs = opts.samples.div_ceil(2);
-
-    if opts.bit_parallel {
-        // Lane j of a word carries pair j: the plain world and its mirror
-        // share one plane stream per coin (`bernoulli_mask_pair`), exactly
-        // as the scalar pair shares its uniforms.
-        let (hits, coin_draws, attacker_checks) = match normalize_lane_words(opts.lane_words) {
-            1 => run_wide_antithetic::<1>(
-                view,
-                &order,
-                &opts,
-                start,
-                pairs,
-                survivors_wide_antithetic::<1>,
-                &mut WideScratch::default(),
-            ),
-            2 => run_wide_antithetic::<2>(
-                view,
-                &order,
-                &opts,
-                start,
-                pairs,
-                survivors_wide_antithetic::<2>,
-                &mut WideScratch::default(),
-            ),
-            8 => run_wide_antithetic::<8>(
-                view,
-                &order,
-                &opts,
-                start,
-                pairs,
-                survivors_wide_antithetic::<8>,
-                &mut WideScratch::default(),
-            ),
-            _ => run_wide_antithetic::<4>(
-                view,
-                &order,
-                &opts,
-                start,
-                pairs,
-                survivors_wide4_antithetic,
-                &mut WideScratch::default(),
-            ),
-        }?;
-        let total = pairs * 2;
-        return Ok(SamOutcome {
-            estimate: hits as f64 / total as f64,
-            samples: total,
-            skyline_hits: hits,
-            coin_draws,
-            attacker_checks,
-            elapsed: start.elapsed(),
-        });
-    }
-
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    let mut stamp: Vec<u64> = vec![0; m_coins];
-    let mut uniform: Vec<f64> = vec![0.0; m_coins];
-
-    let mut hits = 0u64;
-    let mut coin_draws = 0u64;
-    let mut attacker_checks = 0u64;
-
-    for h in 1..=pairs {
-        if h % 64 == 1 {
-            check_deadline(&opts, start, (h - 1) * 2)?;
-        }
-        for mirrored in [false, true] {
-            // Within a pair, coin uniforms are shared; the mirrored world
-            // uses 1 − u. Stamps persist across the pair (generation h),
-            // so a coin first drawn in either half is reused by the other.
-            let mut dominated = false;
-            'attackers: for &i in &order {
-                attacker_checks += 1;
-                for &k in view.attacker_coins(i) {
-                    let ku = k as usize;
-                    if stamp[ku] != h {
-                        stamp[ku] = h;
-                        uniform[ku] = rng.random::<f64>();
-                        coin_draws += 1;
-                    }
-                    let u = if mirrored { 1.0 - uniform[ku] } else { uniform[ku] };
-                    if u >= view.coin_prob(k) {
-                        continue 'attackers;
-                    }
-                }
-                dominated = true;
-                break;
-            }
-            if !dominated {
-                hits += 1;
-            }
-        }
-    }
-
-    let total = pairs * 2;
-    Ok(SamOutcome {
-        estimate: hits as f64 / total as f64,
-        samples: total,
-        skyline_hits: hits,
-        coin_draws,
-        attacker_checks,
-        elapsed: start.elapsed(),
-    })
-}
-
-/// Abort a sampling run whose absolute deadline has passed. Called at
-/// 64-world granularity so completed work stays bit-deterministic: a run
-/// either finishes all `m` worlds (identical to an unbudgeted run) or
-/// fails — never a silently truncated estimate.
+/// Abort a sampling run whose absolute deadline has passed. Called between
+/// 256-world superblocks by the kernel and every 64 worlds by the scalar
+/// loop, so completed work stays bit-deterministic: a run either finishes
+/// all `m` worlds (identical to an unbudgeted run) or fails — never a
+/// silently truncated estimate.
 #[inline]
 fn check_deadline(opts: &SamOptions, start: Instant, samples_drawn: u64) -> Result<()> {
     if let Some(at) = opts.deadline_at {
@@ -554,17 +357,6 @@ fn check_deadline(opts: &SamOptions, start: Instant, samples_drawn: u64) -> Resu
         }
     }
     Ok(())
-}
-
-/// Antithetic estimator over a table (see [`sky_sam_antithetic_view`]).
-pub fn sky_sam_antithetic<M: PreferenceModel>(
-    table: &Table,
-    prefs: &M,
-    target: ObjectId,
-    opts: SamOptions,
-) -> Result<SamOutcome> {
-    let view = CoinView::build(table, prefs, target)?;
-    sky_sam_antithetic_view(&view, opts)
 }
 
 #[cfg(test)]
@@ -666,58 +458,6 @@ mod tests {
     }
 
     #[test]
-    fn antithetic_estimator_is_unbiased_and_lower_variance() {
-        let (t, p) = example1();
-        let exact = 3.0 / 16.0;
-        // Unbiasedness: converges like the plain estimator.
-        let big =
-            sky_sam_antithetic(&t, &p, ObjectId(0), SamOptions::with_samples(60_000, 5)).unwrap();
-        assert!((big.estimate - exact).abs() < 0.006, "estimate {}", big.estimate);
-        assert_eq!(big.samples, 60_000);
-        // Variance: across many small runs, the antithetic estimator's
-        // squared error beats the plain one's (monotone indicator =>
-        // negative within-pair correlation).
-        let m = 200;
-        let runs = 200u64;
-        let (mut se_plain, mut se_anti) = (0.0, 0.0);
-        for seed in 0..runs {
-            let a =
-                sky_sam(&t, &p, ObjectId(0), SamOptions::with_samples(m, seed)).unwrap().estimate;
-            let b = sky_sam_antithetic(&t, &p, ObjectId(0), SamOptions::with_samples(m, seed))
-                .unwrap()
-                .estimate;
-            se_plain += (a - exact) * (a - exact);
-            se_anti += (b - exact) * (b - exact);
-        }
-        assert!(
-            se_anti < se_plain * 0.9,
-            "antithetic MSE {se_anti:.6} should undercut plain MSE {se_plain:.6}"
-        );
-    }
-
-    #[test]
-    fn antithetic_rounds_odd_budgets_up() {
-        let view = CoinView::from_parts(vec![0.5], vec![vec![0]]).unwrap();
-        let out = sky_sam_antithetic_view(&view, SamOptions::with_samples(5, 1)).unwrap();
-        assert_eq!(out.samples, 6);
-        assert!(matches!(
-            sky_sam_antithetic_view(&view, SamOptions::with_samples(0, 1)),
-            Err(ApproxError::ZeroSamples)
-        ));
-    }
-
-    #[test]
-    fn antithetic_pairs_are_perfectly_mirrored_on_half_coins() {
-        // With every coin at probability exactly ½, the two halves of a
-        // pair are complementary: a coin wins in exactly one of them. For
-        // the single-attacker single-coin instance, each pair contributes
-        // exactly one skyline hit -> estimate is exactly 0.5.
-        let view = CoinView::from_parts(vec![0.5], vec![vec![0]]).unwrap();
-        let out = sky_sam_antithetic_view(&view, SamOptions::with_samples(1000, 3)).unwrap();
-        assert_eq!(out.estimate, 0.5, "perfect mirror at p = 1/2");
-    }
-
-    #[test]
     fn hoeffding_constructor_matches_bound() {
         let opts = SamOptions::hoeffding(0.01, 0.01, 0).unwrap();
         assert_eq!(opts.samples, 26_492);
@@ -774,11 +514,6 @@ mod tests {
                     .unwrap();
             assert_eq!(eager.coin_draws, m * 2, "m = {m}");
             assert!(out.attacker_checks <= m * 2);
-            // The antithetic variant rounds m up to pairs but still masks
-            // dead pair lanes exactly.
-            let anti = sky_sam_antithetic_view(&view, SamOptions::with_samples(m, 7)).unwrap();
-            assert_eq!(anti.samples, m.div_ceil(2) * 2);
-            assert_eq!(anti.estimate, anti.skyline_hits as f64 / anti.samples as f64);
         }
     }
 
@@ -799,31 +534,6 @@ mod tests {
         let again = sky_sam_view_with(&view, opts, &mut scratch).unwrap();
         assert_eq!(warm.skyline_hits, lazy.skyline_hits);
         assert_eq!(again.skyline_hits, lazy.skyline_hits);
-    }
-
-    #[test]
-    fn estimates_are_bit_identical_at_every_lane_width() {
-        let (t, p) = example1();
-        let view = CoinView::build(&t, &p, ObjectId(0)).unwrap();
-        // Deliberately not a multiple of 256 so wide runs carry phantom
-        // words and a partial trailing word.
-        for m in [100u64, 1000, 5000] {
-            let base = SamOptions::with_samples(m, 17);
-            let narrow = sky_sam_view(&view, base.with_lane_words(1)).unwrap();
-            for w in [2usize, 4, 8, 5, 64] {
-                let wide = sky_sam_view(&view, base.with_lane_words(w)).unwrap();
-                assert_eq!(narrow.skyline_hits, wide.skyline_hits, "m {m} width {w}");
-                assert_eq!(narrow.estimate.to_bits(), wide.estimate.to_bits());
-                // Antithetic pairs are width-invariant too.
-                let an = sky_sam_antithetic_view(&view, base.with_lane_words(1)).unwrap();
-                let aw = sky_sam_antithetic_view(&view, base.with_lane_words(w)).unwrap();
-                assert_eq!(an.skyline_hits, aw.skyline_hits, "anti m {m} width {w}");
-            }
-            // Eager telemetry counts exactly m × n_coins at any width.
-            let eager4 =
-                sky_sam_view(&view, SamOptions { lazy: false, ..base.with_lane_words(4) }).unwrap();
-            assert_eq!(eager4.coin_draws, m * view.n_coins() as u64);
-        }
     }
 
     #[test]

@@ -28,20 +28,17 @@
 //! truncated test still uses exactly `max_samples`, via a lane-masked
 //! final block).
 //!
-//! With [`SprtOptions::lane_words`] `> 1` the kernel evaluates a
-//! superblock of `64 × W` worlds per step, but the Wald statistic still
-//! **walks the superblock's words sequentially**, checking the boundaries
-//! after every 64-world word; a crossing mid-superblock discards the
-//! already-evaluated later words. Decisions, `samples_used`, and running
-//! estimates are therefore bit-identical at every lane width — wider lanes
-//! only trade a little overshoot work for kernel throughput.
+//! The kernel evaluates a superblock of four words (256 worlds) per step,
+//! but the Wald statistic still **walks the superblock's words
+//! sequentially**, checking the boundaries after every 64-world word; a
+//! crossing mid-superblock discards the already-evaluated later words.
+//! Decisions, `samples_used`, and running estimates are therefore those of
+//! a word-at-a-time walk; the superblock only trades a little overshoot
+//! work for kernel throughput.
 
 use std::time::Instant;
 
-use presky_core::bitworlds::{
-    normalize_lane_words, superblock_lane_mask, survivors_wide, survivors_wide4, WideScratch,
-    DEFAULT_LANE_WORDS,
-};
+use presky_core::bitworlds::{superblock_lane_mask, survivors_wide, WideScratch, LANE_WORDS};
 use presky_core::coins::CoinView;
 use presky_core::preference::PreferenceModel;
 use presky_core::table::Table;
@@ -63,9 +60,6 @@ pub struct SprtOptions {
     pub max_samples: u64,
     /// RNG seed.
     pub seed: u64,
-    /// Kernel lane width in words (normalised to {1, 2, 4, 8}); the test's
-    /// decisions and sample counts are bit-identical at every width.
-    pub lane_words: usize,
     /// Optional absolute wall-clock cut-off, checked between superblocks.
     /// An expired deadline truncates the test early with an honest
     /// `Undecided` (never a fabricated certificate).
@@ -80,7 +74,6 @@ impl Default for SprtOptions {
             beta: 0.01,
             max_samples: 200_000,
             seed: 0,
-            lane_words: DEFAULT_LANE_WORDS,
             deadline_at: None,
         }
     }
@@ -114,13 +107,6 @@ impl SprtOptions {
     /// Chainable: set the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Chainable: set the kernel lane width in words (normalised to
-    /// {1, 2, 4, 8}; decisions do not depend on it).
-    pub fn with_lane_words(mut self, lane_words: usize) -> Self {
-        self.lane_words = lane_words;
         self
     }
 
@@ -178,7 +164,7 @@ pub fn sky_threshold_test_view(
         [("tau", tau), ("margin", opts.margin), ("alpha", opts.alpha), ("beta", opts.beta)]
     {
         if v.is_nan() || !(0.0..=1.0).contains(&v) {
-            return Err(ApproxError::InvalidParameter { name: leak_name(name), value: v });
+            return Err(ApproxError::InvalidParameter { name, value: v });
         }
     }
     if opts.max_samples == 0 {
@@ -196,13 +182,7 @@ pub fn sky_threshold_test_view(
     let lower = (opts.beta / (1.0 - opts.alpha)).ln();
 
     let order = view.checking_sequence();
-    let walk = WaldWalk { l_hit, l_miss, upper, lower };
-    match normalize_lane_words(opts.lane_words) {
-        1 => run_sprt::<1>(view, &order, opts, walk, survivors_wide::<1>),
-        2 => run_sprt::<2>(view, &order, opts, walk, survivors_wide::<2>),
-        8 => run_sprt::<8>(view, &order, opts, walk, survivors_wide::<8>),
-        _ => run_sprt::<4>(view, &order, opts, walk, survivors_wide4),
-    }
+    run_sprt(view, &order, opts, WaldWalk { l_hit, l_miss, upper, lower })
 }
 
 /// The precomputed Wald statistic increments and decision boundaries.
@@ -214,24 +194,17 @@ struct WaldWalk {
     lower: f64,
 }
 
-/// A width-`W` survivor kernel: `survivors_wide::<W>` or the AVX2
-/// dispatcher at `W = 4`.
-type WideKernel<const W: usize> =
-    fn(&CoinView, &[usize], u64, u64, &[u64; W], bool, &mut WideScratch<W>) -> [u64; W];
-
-/// One sequential test at lane width `W`: superblocks are evaluated wide,
-/// the Wald statistic walks their words sequentially (see module docs), so
-/// the outcome is bit-identical to the `W = 1` walk.
-fn run_sprt<const W: usize>(
+/// One sequential test: superblocks are evaluated wide, the Wald statistic
+/// walks their words sequentially (see module docs).
+fn run_sprt(
     view: &CoinView,
     order: &[usize],
     opts: SprtOptions,
     walk: WaldWalk,
-    kernel: WideKernel<W>,
 ) -> Result<SprtOutcome> {
-    let mut bits = WideScratch::<W>::default();
+    let mut bits = WideScratch::default();
     bits.prepare(view);
-    let worlds_per = 64 * W as u64;
+    let worlds_per = 64 * LANE_WORDS as u64;
     let mut llr = 0.0;
     let mut hits = 0u64;
     let mut used = 0u64;
@@ -248,9 +221,9 @@ fn run_sprt<const W: usize>(
                 });
             }
         }
-        let lane_mask = superblock_lane_mask::<W>(opts.max_samples, sb);
-        let live = kernel(view, order, opts.seed, sb, &lane_mask, true, &mut bits);
-        for w in 0..W {
+        let lane_mask = superblock_lane_mask(opts.max_samples, sb);
+        let live = survivors_wide(view, order, opts.seed, sb, &lane_mask, true, &mut bits);
+        for w in 0..LANE_WORDS {
             if lane_mask[w] == 0 {
                 break;
             }
@@ -280,15 +253,6 @@ fn run_sprt<const W: usize>(
         samples_used: opts.max_samples,
         estimate: hits as f64 / opts.max_samples as f64,
     })
-}
-
-fn leak_name(n: &str) -> &'static str {
-    match n {
-        "tau" => "tau",
-        "margin" => "margin",
-        "alpha" => "alpha",
-        _ => "beta",
-    }
 }
 
 #[cfg(test)]
@@ -346,24 +310,6 @@ mod tests {
             }
         }
         assert!(wrong <= 1, "{wrong}/80 sequential decisions were wrong");
-    }
-
-    #[test]
-    fn outcomes_are_bit_identical_at_every_lane_width() {
-        let (t, p) = example1();
-        // Both fast-resolving and truncated tests, across widths.
-        for (tau, max) in [(0.5, 200_000u64), (0.05, 200_000), (0.1875, 2_000)] {
-            let base = SprtOptions { max_samples: max, seed: 9, ..Default::default() };
-            let narrow =
-                sky_threshold_test(&t, &p, ObjectId(0), tau, base.with_lane_words(1)).unwrap();
-            for w in [2usize, 4, 8] {
-                let wide =
-                    sky_threshold_test(&t, &p, ObjectId(0), tau, base.with_lane_words(w)).unwrap();
-                assert_eq!(narrow.decision, wide.decision, "tau {tau} width {w}");
-                assert_eq!(narrow.samples_used, wide.samples_used, "tau {tau} width {w}");
-                assert_eq!(narrow.estimate.to_bits(), wide.estimate.to_bits());
-            }
-        }
     }
 
     #[test]

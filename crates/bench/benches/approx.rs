@@ -35,6 +35,11 @@ fn sam_vs_samplus(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("Sam", n), &v, |b, v| {
             b.iter(|| sky_sam_view(v, sam).unwrap().estimate)
         });
+        // The paper's world-at-a-time loop, against the kernel above.
+        let scalar = sam.with_bit_parallel(false);
+        group.bench_with_input(BenchmarkId::new("Sam-scalar", n), &v, |b, v| {
+            b.iter(|| sky_sam_view(v, scalar).unwrap().estimate)
+        });
         // Sam+: the engine's full Prepare stage and a forced-sampling plan
         // (its time includes assembling the object's view).
         group.bench_with_input(BenchmarkId::new("Sam+", n), &t, |b, t| {

@@ -93,21 +93,17 @@ pub fn ablation_sam(budget: &Budget) -> FigReport {
     let table = workloads::block_zipf(n, 5);
     let targets = pick_targets(n, budget.targets.min(8), 37);
 
-    // Rows 0–3 run the wide bit-parallel kernel (the default width); rows
-    // 4–5 repeat the paper configuration on the single-word kernel and
-    // the scalar per-world loop, isolating the lane-width and kernel
-    // contributions at identical draw/check accounting semantics.
-    let w = presky_core::bitworlds::DEFAULT_LANE_WORDS;
-    let wide = format!("sorted + lazy (paper, W={w} kernel)");
-    let variants: [(&str, bool, bool, bool, usize); 6] = [
-        (&wide, true, true, true, w),
-        ("sorted + eager", true, false, true, w),
-        ("unsorted + lazy", false, true, true, w),
-        ("unsorted + eager", false, false, true, w),
-        ("sorted + lazy, W=1 kernel", true, true, true, 1),
-        ("sorted + lazy, scalar kernel", true, true, false, 1),
+    // Rows 0–3 run the bit-parallel kernel; row 4 repeats the paper
+    // configuration on the scalar per-world loop, isolating the kernel's
+    // contribution at identical draw/check accounting semantics.
+    let variants: [(&str, bool, bool, bool); 5] = [
+        ("sorted + lazy (paper, bit-parallel kernel)", true, true, true),
+        ("sorted + eager", true, false, true),
+        ("unsorted + lazy", false, true, true),
+        ("unsorted + eager", false, false, true),
+        ("sorted + lazy, scalar kernel", true, true, false),
     ];
-    for (name, sort_checking, lazy, bit_parallel, lane_words) in variants {
+    for (name, sort_checking, lazy, bit_parallel) in variants {
         let mut draws = 0u64;
         let mut checks = 0u64;
         let mut time = std::time::Duration::ZERO;
@@ -116,8 +112,7 @@ pub fn ablation_sam(budget: &Budget) -> FigReport {
             let opts = SamOptions::with_samples(3000, 3)
                 .with_sort_checking(sort_checking)
                 .with_lazy(lazy)
-                .with_bit_parallel(bit_parallel)
-                .with_lane_words(lane_words);
+                .with_bit_parallel(bit_parallel);
             let out = sky_sam_view(&view, opts).expect("positive samples");
             draws += out.coin_draws;
             checks += out.attacker_checks;
@@ -131,15 +126,12 @@ pub fn ablation_sam(budget: &Budget) -> FigReport {
             format_secs(time.as_secs_f64() / k as f64),
         ]);
     }
-    rep.note(format!(
+    rep.note(
         "Lazy sampling slashes coin draws; the sorted checking sequence slashes attacker \
-         checks. The paper's combination is the cheapest; the wide kernel (rows 0-3) \
-         evaluates {} worlds per mask op versus 64 for the single-word kernel (row 4) \
-         and 1 for the scalar loop (row 5) — rows 0 and 4 produce bit-identical \
-         estimates by per-lane counter seeding, and per-word materialisation makes \
-         the draw accounting match exactly at every width too.",
-        64 * w
-    ));
+         checks. The paper's combination is the cheapest; the kernel (rows 0-3) evaluates \
+         256 worlds per mask op versus 1 for the scalar loop (row 4), with the same \
+         per-world draw and check accounting.",
+    );
     rep
 }
 
@@ -474,15 +466,10 @@ mod tests {
         assert!(draws[0] < draws[1], "{draws:?}");
         // unsorted+lazy (row 2) also beats unsorted+eager (row 3).
         assert!(draws[2] < draws[3], "{draws:?}");
-        // The single-word and scalar baselines (rows 4-5) are present and
-        // their lazy draw accounting stays in the lazy regime.
-        assert_eq!(rep.rows.len(), 6);
+        // The scalar baseline (row 4) is present and its lazy draw
+        // accounting stays in the lazy regime.
+        assert_eq!(rep.rows.len(), 5);
         assert!(draws[4] < draws[1], "{draws:?}");
-        assert!(draws[5] < draws[1], "{draws:?}");
-        // Per-word materialisation makes the wide default's lazy draw
-        // count *exactly* equal to W=1's, not merely close: word w only
-        // pays for a coin at the walk step the narrow kernel would.
-        assert_eq!(draws[0], draws[4], "{draws:?}");
     }
 
     #[test]

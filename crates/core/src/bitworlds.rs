@@ -35,50 +35,29 @@
 //! Estimates are therefore bit-reproducible regardless of thread count,
 //! chunk order, or lazy vs eager mask materialisation.
 //!
-//! ## Antithetic lanes
-//!
-//! The antithetic estimator mirrors a uniform `u → 1 − u`; on integers the
-//! mirrored uniform is the bitwise complement `!U`, and the mirrored win
-//! `!U < t` is `U ≥ 2⁶⁴ − t`, i.e. the complement of a plain comparison
-//! against `t.wrapping_neg()`. [`bernoulli_mask_pair`] evaluates both
-//! comparisons from one shared plane stream (`t` and `t.wrapping_neg()`
-//! even share `trailing_zeros`), so a pair of mirrored worlds costs the
-//! same planes as one. At `p = 1/2` the two masks are exact complements —
-//! the perfect-mirror case of the scalar implementation is preserved
-//! bit-for-bit in spirit and in statistics.
-//!
-//! ## Multi-word lanes
+//! ## Superblocks of four words
 //!
 //! One `u64` leaves most of a vector register idle. The wide kernel
-//! ([`survivors_wide`], [`WideScratch`]) processes `W` words — a
-//! *superblock* of `64·W` worlds — per step, written as straight-line
-//! `[u64; W]` array ops the compiler auto-vectorises on stable Rust; a
-//! runtime-detected AVX2 path ([`survivors_wide4`]) recompiles the same
-//! generic code with 256-bit codegen. Word `w` of superblock `sb` reuses
-//! the [`BlockKey`] of narrow block `sb·W + w`, so every mask — and hence
-//! every estimate — is **bit-identical at every width**; only throughput
-//! and the lazy-materialisation telemetry change. The comparator runs all
-//! `W` words in lock-step: words whose `eq` has already reached zero keep
-//! absorbing plane updates as no-ops (their `lt` is frozen), which keeps
-//! the inner loop branch-free across words without perturbing any bit.
+//! ([`survivors_wide`], [`WideScratch`]) processes [`LANE_WORDS`] = 4 words
+//! — a *superblock* of 256 worlds — per step, written as straight-line
+//! `[u64; LANE_WORDS]` array ops the compiler auto-vectorises on stable
+//! Rust; on x86-64 a runtime-detected AVX2 build of the same code runs
+//! instead. Word `w` of superblock `sb` reuses the [`BlockKey`] of narrow
+//! block `4·sb + w`, so every mask — and hence every estimate — is
+//! **bit-identical** to the single-word walk ([`survivors_block`]), and so
+//! is the lazy-materialisation telemetry. The comparator runs all words in
+//! lock-step: words whose `eq` has already reached zero keep absorbing
+//! plane updates as no-ops (their `lt` is frozen), which keeps the inner
+//! loop branch-free across words without perturbing any bit.
 
 use crate::coins::CoinView;
 
-/// Default lane width of the wide kernel: 4 words = 256 worlds per step,
-/// matching one AVX2 register.
-pub const DEFAULT_LANE_WORDS: usize = 4;
+/// Words per step of the wide kernel: 4 words = 256 worlds, one AVX2
+/// register.
+pub const LANE_WORDS: usize = 4;
 
-/// Clamp a requested lane width to the supported set `{1, 2, 4, 8}`,
-/// rounding down, so option plumbing can accept any value.
-#[inline]
-pub fn normalize_lane_words(w: usize) -> usize {
-    match w {
-        0 | 1 => 1,
-        2 | 3 => 2,
-        4..=7 => 4,
-        _ => 8,
-    }
-}
+/// The all-words-ready bitmask of the wide kernel.
+const ALL_WORDS: u64 = (1 << LANE_WORDS) - 1;
 
 /// Golden-ratio increment of the SplitMix64 stream.
 const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -189,45 +168,6 @@ pub fn bernoulli_mask(rng: &mut PlaneRng, t: u64) -> (u64, u32) {
     }
 }
 
-/// The plain and mirrored masks of an antithetic pair, from one shared
-/// plane stream: `(plain, mirrored, planes_consumed)`.
-///
-/// Lane `j` of `plain` is `U_j < t`; lane `j` of `mirrored` is
-/// `!U_j < t`, i.e. `U_j ≥ t.wrapping_neg()`. Both events have probability
-/// `t / 2⁶⁴`, and at `t = 2⁶³` (`p = 1/2`) the masks are exact
-/// complements.
-#[inline]
-pub fn bernoulli_mask_pair(rng: &mut PlaneRng, t: u64) -> (u64, u64, u32) {
-    debug_assert!(t != 0 && t != CERTAIN);
-    let tm = t.wrapping_neg();
-    // −t = t with its trailing zeros preserved, so one stop serves both.
-    let stop = t.trailing_zeros();
-    let (mut lt_p, mut eq_p) = (0u64, u64::MAX);
-    let (mut lt_m, mut eq_m) = (0u64, u64::MAX);
-    let mut planes = 0u32;
-    let mut plane = 63u32;
-    loop {
-        let r = rng.next_word();
-        planes += 1;
-        if (t >> plane) & 1 == 1 {
-            lt_p |= eq_p & !r;
-            eq_p &= r;
-        } else {
-            eq_p &= !r;
-        }
-        if (tm >> plane) & 1 == 1 {
-            lt_m |= eq_m & !r;
-            eq_m &= r;
-        } else {
-            eq_m &= !r;
-        }
-        if (eq_p | eq_m) == 0 || plane == stop {
-            return (lt_p, !lt_m, planes);
-        }
-        plane -= 1;
-    }
-}
-
 /// Reusable state of the bit-parallel kernel: per-coin thresholds, the
 /// per-block mask cache (epoch-stamped, so switching blocks is O(1)), and
 /// the work telemetry accumulated across blocks.
@@ -243,7 +183,6 @@ pub fn bernoulli_mask_pair(rng: &mut PlaneRng, t: u64) -> (u64, u64, u32) {
 pub struct BlockScratch {
     thresholds: Vec<u64>,
     mask: Vec<u64>,
-    mirror: Vec<u64>,
     stamp: Vec<u64>,
     epoch: u64,
     /// Lane-weighted mask materialisations (see type docs).
@@ -262,7 +201,6 @@ impl BlockScratch {
         if self.stamp.len() < m {
             self.stamp.resize(m, 0);
             self.mask.resize(m, 0);
-            self.mirror.resize(m, 0);
         }
         self.coin_draws = 0;
         self.attacker_checks = 0;
@@ -275,20 +213,6 @@ impl BlockScratch {
             0 => 0,
             CERTAIN => u64::MAX,
             _ => bernoulli_mask(&mut key.stream(k as u64), t).0,
-        };
-        self.coin_draws += u64::from(demand.count_ones());
-    }
-
-    #[inline]
-    fn materialise_pair(&mut self, key: &BlockKey, k: usize, demand: u64) {
-        let t = self.thresholds[k];
-        (self.mask[k], self.mirror[k]) = match t {
-            0 => (0, 0),
-            CERTAIN => (u64::MAX, u64::MAX),
-            _ => {
-                let (p, m, _) = bernoulli_mask_pair(&mut key.stream(k as u64), t);
-                (p, m)
-            }
         };
         self.coin_draws += u64::from(demand.count_ones());
     }
@@ -345,53 +269,6 @@ pub fn survivors_block(
     live
 }
 
-/// Antithetic variant of [`survivors_block`]: lane `j` carries a *pair* of
-/// mirrored worlds. Returns `(plain_survivors, mirrored_survivors)`.
-pub fn survivors_block_antithetic(
-    view: &CoinView,
-    order: &[usize],
-    seed: u64,
-    block: u64,
-    lane_mask: u64,
-    lazy: bool,
-    s: &mut BlockScratch,
-) -> (u64, u64) {
-    s.epoch += 1;
-    let epoch = s.epoch;
-    let key = BlockKey::new(seed, block);
-    if !lazy {
-        for k in 0..view.n_coins() {
-            s.stamp[k] = epoch;
-            s.materialise_pair(&key, k, lane_mask);
-        }
-    }
-    let mut live_p = lane_mask;
-    let mut live_m = lane_mask;
-    for &i in order {
-        if live_p | live_m == 0 {
-            break;
-        }
-        s.attacker_checks += u64::from(live_p.count_ones() + live_m.count_ones());
-        let mut ap = live_p;
-        let mut am = live_m;
-        for &k in view.attacker_coins(i) {
-            if ap | am == 0 {
-                break;
-            }
-            let ku = k as usize;
-            if s.stamp[ku] != epoch {
-                s.stamp[ku] = epoch;
-                s.materialise_pair(&key, ku, ap | am);
-            }
-            ap &= s.mask[ku];
-            am &= s.mirror[ku];
-        }
-        live_p &= !ap;
-        live_m &= !am;
-    }
-    (live_p, live_m)
-}
-
 /// The active-lane mask of block `block` when `total` worlds are requested:
 /// all 64 lanes for full blocks, the low `total % 64` lanes for the final
 /// partial block.
@@ -406,20 +283,20 @@ pub fn block_lane_mask(total: u64, block: u64) -> u64 {
 }
 
 /// Per-word block keys of superblock `superblock`: word `w` reuses the key
-/// of narrow block `superblock·W + w`, which is what makes wide estimates
-/// bit-identical to narrow ones at every width.
+/// of narrow block `superblock·LANE_WORDS + w`, which is what makes wide
+/// estimates bit-identical to narrow ones.
 #[inline(always)]
-pub fn superblock_keys<const W: usize>(seed: u64, superblock: u64) -> [BlockKey; W] {
-    std::array::from_fn(|w| BlockKey::new(seed, superblock * W as u64 + w as u64))
+pub fn superblock_keys(seed: u64, superblock: u64) -> [BlockKey; LANE_WORDS] {
+    std::array::from_fn(|w| BlockKey::new(seed, superblock * LANE_WORDS as u64 + w as u64))
 }
 
 /// The active-lane masks of superblock `superblock` when `total` worlds
 /// are requested: word `w` carries [`block_lane_mask`] of narrow block
-/// `superblock·W + w`, or zero past the end of the requested range.
+/// `superblock·LANE_WORDS + w`, or zero past the end of the requested range.
 #[inline]
-pub fn superblock_lane_mask<const W: usize>(total: u64, superblock: u64) -> [u64; W] {
+pub fn superblock_lane_mask(total: u64, superblock: u64) -> [u64; LANE_WORDS] {
     std::array::from_fn(|w| {
-        let block = superblock * W as u64 + w as u64;
+        let block = superblock * LANE_WORDS as u64 + w as u64;
         if block * 64 >= total {
             0
         } else {
@@ -429,42 +306,47 @@ pub fn superblock_lane_mask<const W: usize>(total: u64, superblock: u64) -> [u64
 }
 
 #[inline(always)]
-fn popcount_wide<const W: usize>(x: &[u64; W]) -> u64 {
+fn popcount_wide(x: &[u64; LANE_WORDS]) -> u64 {
     x.iter().map(|w| u64::from(w.count_ones())).sum()
 }
 
 #[inline(always)]
-fn any_set<const W: usize>(x: &[u64; W]) -> bool {
+fn any_set(x: &[u64; LANE_WORDS]) -> bool {
     x.iter().fold(0u64, |acc, &w| acc | w) != 0
 }
 
-/// `W` independent 64-draw Bernoulli words at threshold `t`, one per block
-/// key, evaluated in lock-step (shared plane index, per-word streams).
+/// [`LANE_WORDS`] independent 64-draw Bernoulli words at threshold `t`,
+/// one per block key, evaluated in lock-step (shared plane index, per-word
+/// streams).
 ///
 /// Word `w` equals `bernoulli_mask(&mut keys[w].stream(stream), t).0`
 /// bit-for-bit: a word whose `eq` reaches zero keeps receiving plane
 /// updates, but with `eq == 0` both update rules are no-ops, so its `lt`
 /// is already final. `t` must be a regular threshold.
 #[inline(always)]
-pub fn bernoulli_masks_wide<const W: usize>(keys: &[BlockKey; W], stream: u64, t: u64) -> [u64; W] {
+pub fn bernoulli_masks_wide(
+    keys: &[BlockKey; LANE_WORDS],
+    stream: u64,
+    t: u64,
+) -> [u64; LANE_WORDS] {
     debug_assert!(t != 0 && t != CERTAIN);
     let stop = t.trailing_zeros();
-    let mut rngs: [PlaneRng; W] = std::array::from_fn(|w| keys[w].stream(stream));
-    let mut lt = [0u64; W];
-    let mut eq = [u64::MAX; W];
+    let mut rngs: [PlaneRng; LANE_WORDS] = std::array::from_fn(|w| keys[w].stream(stream));
+    let mut lt = [0u64; LANE_WORDS];
+    let mut eq = [u64::MAX; LANE_WORDS];
     let mut plane = 63u32;
     loop {
-        let mut r = [0u64; W];
-        for w in 0..W {
+        let mut r = [0u64; LANE_WORDS];
+        for w in 0..LANE_WORDS {
             r[w] = rngs[w].next_word();
         }
         if (t >> plane) & 1 == 1 {
-            for w in 0..W {
+            for w in 0..LANE_WORDS {
                 lt[w] |= eq[w] & !r[w];
                 eq[w] &= r[w];
             }
         } else {
-            for w in 0..W {
+            for w in 0..LANE_WORDS {
                 eq[w] &= !r[w];
             }
         }
@@ -475,87 +357,23 @@ pub fn bernoulli_masks_wide<const W: usize>(keys: &[BlockKey; W], stream: u64, t
     }
 }
 
-/// Wide antithetic masks: `(plain, mirrored)` word arrays from the same
-/// per-word plane streams as [`bernoulli_masks_wide`]. Word `w` matches
-/// [`bernoulli_mask_pair`] under `keys[w]` bit-for-bit.
-#[inline(always)]
-pub fn bernoulli_mask_pairs_wide<const W: usize>(
-    keys: &[BlockKey; W],
-    stream: u64,
-    t: u64,
-) -> ([u64; W], [u64; W]) {
-    debug_assert!(t != 0 && t != CERTAIN);
-    let tm = t.wrapping_neg();
-    let stop = t.trailing_zeros();
-    let mut rngs: [PlaneRng; W] = std::array::from_fn(|w| keys[w].stream(stream));
-    let mut lt_p = [0u64; W];
-    let mut eq_p = [u64::MAX; W];
-    let mut lt_m = [0u64; W];
-    let mut eq_m = [u64::MAX; W];
-    let mut plane = 63u32;
-    loop {
-        let mut r = [0u64; W];
-        for w in 0..W {
-            r[w] = rngs[w].next_word();
-        }
-        if (t >> plane) & 1 == 1 {
-            for w in 0..W {
-                lt_p[w] |= eq_p[w] & !r[w];
-                eq_p[w] &= r[w];
-            }
-        } else {
-            for w in 0..W {
-                eq_p[w] &= !r[w];
-            }
-        }
-        if (tm >> plane) & 1 == 1 {
-            for w in 0..W {
-                lt_m[w] |= eq_m[w] & !r[w];
-                eq_m[w] &= r[w];
-            }
-        } else {
-            for w in 0..W {
-                eq_m[w] &= !r[w];
-            }
-        }
-        let mut pending = 0u64;
-        for w in 0..W {
-            pending |= eq_p[w] | eq_m[w];
-        }
-        if pending == 0 || plane == stop {
-            let mirrored = std::array::from_fn(|w| !lt_m[w]);
-            return (lt_p, mirrored);
-        }
-        plane -= 1;
-    }
-}
-
-/// The all-words-ready bitmask of a width-`W` kernel (widths are capped at
-/// 8 words so the mask packs into the low byte of a coin tag).
-#[inline(always)]
-const fn all_words<const W: usize>() -> u64 {
-    (1u64 << W) - 1
-}
-
-/// Reusable state of the wide kernel — the `[u64; W]` counterpart of
-/// [`BlockScratch`], with the same lane-weighted telemetry semantics.
+/// Reusable state of the wide kernel — the `[u64; LANE_WORDS]` counterpart
+/// of [`BlockScratch`], with the same lane-weighted telemetry semantics.
 ///
 /// Masks are materialised **per word**: word `w` of a coin's mask is only
 /// generated (and its demanding lanes only charged to `coin_draws`) once
 /// some lane of word `w` actually demands the coin. Since word `w`'s walk
-/// is bit-identical to the narrow kernel on block `superblock·W + w`, the
-/// demand times coincide and `coin_draws` is exactly equal at every width
-/// — lazy and eager alike.
+/// is bit-identical to the narrow kernel on block `superblock·LANE_WORDS +
+/// w`, the demand times coincide and both counters equal the narrow
+/// kernel's exactly — lazy and eager alike.
 #[derive(Debug, Default)]
-pub struct WideScratch<const W: usize> {
+pub struct WideScratch {
     thresholds: Vec<u64>,
-    mask: Vec<[u64; W]>,
-    mirror: Vec<[u64; W]>,
+    mask: Vec<[u64; LANE_WORDS]>,
     /// Per-coin tag `epoch << 8 | ready`: `ready` is the bitmask of words
-    /// whose mask (and mirror, on antithetic runs) has been materialised
-    /// and charged this epoch. The hot path compares one tag against
-    /// `epoch << 8 | all_words` — a single load, as cheap as the narrow
-    /// kernel's epoch stamp.
+    /// whose mask has been materialised and charged this epoch. The hot
+    /// path compares one tag against `epoch << 8 | ALL_WORDS` — a single
+    /// load, as cheap as the narrow kernel's epoch stamp.
     tag: Vec<u64>,
     epoch: u64,
     /// Lane-weighted mask materialisations (see [`BlockScratch`]).
@@ -564,18 +382,16 @@ pub struct WideScratch<const W: usize> {
     pub attacker_checks: u64,
 }
 
-impl<const W: usize> WideScratch<W> {
+impl WideScratch {
     /// Bind the scratch to `view` for a run: precompute thresholds, size
     /// the mask cache, and reset the telemetry.
     pub fn prepare(&mut self, view: &CoinView) {
-        const { assert!(W >= 1 && W <= 8, "lane widths are capped at 8 words") };
         self.thresholds.clear();
         self.thresholds.extend(view.coin_probs().iter().map(|&p| threshold(p)));
         let m = view.n_coins();
         if self.tag.len() < m {
             self.tag.resize(m, 0);
-            self.mask.resize(m, [0; W]);
-            self.mirror.resize(m, [0; W]);
+            self.mask.resize(m, [0; LANE_WORDS]);
         }
         self.coin_draws = 0;
         self.attacker_checks = 0;
@@ -591,16 +407,16 @@ impl<const W: usize> WideScratch<W> {
     #[inline(always)]
     fn materialise_words(
         &mut self,
-        keys: &[BlockKey; W],
+        keys: &[BlockKey; LANE_WORDS],
         k: usize,
         missing: u64,
-        demand: &[u64; W],
+        demand: &[u64; LANE_WORDS],
     ) {
         let t = self.thresholds[k];
         match t {
-            0 => self.mask[k] = [0; W],
-            CERTAIN => self.mask[k] = [u64::MAX; W],
-            _ if missing == all_words::<W>() => {
+            0 => self.mask[k] = [0; LANE_WORDS],
+            CERTAIN => self.mask[k] = [u64::MAX; LANE_WORDS],
+            _ if missing == ALL_WORDS => {
                 self.mask[k] = bernoulli_masks_wide(keys, k as u64, t);
             }
             _ => {
@@ -617,66 +433,34 @@ impl<const W: usize> WideScratch<W> {
             }
         }
     }
-
-    /// Antithetic counterpart of [`Self::materialise_words`]: fills both
-    /// the plain and mirrored words of `missing`.
-    #[inline(always)]
-    fn materialise_pair_words(
-        &mut self,
-        keys: &[BlockKey; W],
-        k: usize,
-        missing: u64,
-        demand: &[u64; W],
-    ) {
-        let t = self.thresholds[k];
-        match t {
-            0 => (self.mask[k], self.mirror[k]) = ([0; W], [0; W]),
-            CERTAIN => (self.mask[k], self.mirror[k]) = ([u64::MAX; W], [u64::MAX; W]),
-            _ if missing == all_words::<W>() => {
-                (self.mask[k], self.mirror[k]) = bernoulli_mask_pairs_wide(keys, k as u64, t);
-            }
-            _ => {
-                for (w, key) in keys.iter().enumerate() {
-                    if missing >> w & 1 == 1 {
-                        let (p, m, _) = bernoulli_mask_pair(&mut key.stream(k as u64), t);
-                        self.mask[k][w] = p;
-                        self.mirror[k][w] = m;
-                    }
-                }
-            }
-        }
-        for (w, d) in demand.iter().enumerate() {
-            if missing >> w & 1 == 1 {
-                self.coin_draws += u64::from(d.count_ones());
-            }
-        }
-    }
 }
 
 /// The word bitmask of non-zero entries of `x` — which words still have
 /// any lane demanding work.
 #[inline(always)]
-fn nonzero_words<const W: usize>(x: &[u64; W]) -> u64 {
+fn nonzero_words(x: &[u64; LANE_WORDS]) -> u64 {
     x.iter().enumerate().fold(0u64, |bits, (w, &word)| bits | (u64::from(word != 0) << w))
 }
 
+/// The kernel body. `#[inline(always)]`, so the portable entry point and
+/// the AVX2 wrapper each compile their own copy of it.
 #[inline(always)]
-fn survivors_wide_impl<const W: usize>(
+fn survivors_wide_impl(
     view: &CoinView,
     order: &[usize],
     seed: u64,
     superblock: u64,
-    lane_mask: &[u64; W],
+    lane_mask: &[u64; LANE_WORDS],
     lazy: bool,
-    s: &mut WideScratch<W>,
-) -> [u64; W] {
+    s: &mut WideScratch,
+) -> [u64; LANE_WORDS] {
     s.epoch += 1;
-    let full = (s.epoch << 8) | all_words::<W>();
-    let keys = superblock_keys::<W>(seed, superblock);
+    let full = (s.epoch << 8) | ALL_WORDS;
+    let keys = superblock_keys(seed, superblock);
     if !lazy {
         for k in 0..view.n_coins() {
             s.tag[k] = full;
-            s.materialise_words(&keys, k, all_words::<W>(), lane_mask);
+            s.materialise_words(&keys, k, ALL_WORDS, lane_mask);
         }
     }
     let mut live = *lane_mask;
@@ -698,7 +482,7 @@ fn survivors_wide_impl<const W: usize>(
                 }
             }
             let m = &s.mask[ku];
-            for w in 0..W {
+            for w in 0..LANE_WORDS {
                 alive[w] &= m[w];
             }
             if !any_set(&alive) {
@@ -709,110 +493,13 @@ fn survivors_wide_impl<const W: usize>(
         // the telemetry popcount is recomputed on kill events alone instead
         // of once per attacker.
         if any_set(&alive) {
-            for w in 0..W {
+            for w in 0..LANE_WORDS {
                 live[w] &= !alive[w];
             }
             pc = popcount_wide(&live);
         }
     }
     live
-}
-
-#[inline(always)]
-fn survivors_wide_antithetic_impl<const W: usize>(
-    view: &CoinView,
-    order: &[usize],
-    seed: u64,
-    superblock: u64,
-    lane_mask: &[u64; W],
-    lazy: bool,
-    s: &mut WideScratch<W>,
-) -> ([u64; W], [u64; W]) {
-    s.epoch += 1;
-    let full = (s.epoch << 8) | all_words::<W>();
-    let keys = superblock_keys::<W>(seed, superblock);
-    if !lazy {
-        for k in 0..view.n_coins() {
-            s.tag[k] = full;
-            s.materialise_pair_words(&keys, k, all_words::<W>(), lane_mask);
-        }
-    }
-    let mut live_p = *lane_mask;
-    let mut live_m = *lane_mask;
-    let mut pc = popcount_wide(&live_p) + popcount_wide(&live_m);
-    for &i in order {
-        if pc == 0 {
-            break;
-        }
-        s.attacker_checks += pc;
-        let mut ap = live_p;
-        let mut am = live_m;
-        for &k in view.attacker_coins(i) {
-            let mut pending = [0u64; W];
-            for w in 0..W {
-                pending[w] = ap[w] | am[w];
-            }
-            if !any_set(&pending) {
-                break;
-            }
-            let ku = k as usize;
-            if s.tag[ku] != full {
-                let ready = if s.tag[ku] >> 8 == s.epoch { s.tag[ku] & 0xff } else { 0 };
-                let missing = nonzero_words(&pending) & !ready;
-                if missing != 0 {
-                    s.materialise_pair_words(&keys, ku, missing, &pending);
-                    s.tag[ku] = (s.epoch << 8) | (ready | missing);
-                }
-            }
-            for w in 0..W {
-                ap[w] &= s.mask[ku][w];
-                am[w] &= s.mirror[ku][w];
-            }
-        }
-        // Kill-event-only popcount refresh, as in the plain walk.
-        if any_set(&ap) || any_set(&am) {
-            for w in 0..W {
-                live_p[w] &= !ap[w];
-                live_m[w] &= !am[w];
-            }
-            pc = popcount_wide(&live_p) + popcount_wide(&live_m);
-        }
-    }
-    (live_p, live_m)
-}
-
-/// Evaluate one `64·W`-world superblock: the wide counterpart of
-/// [`survivors_block`], returning per-word survivor masks.
-///
-/// Word `w` is bit-identical to `survivors_block` on narrow block
-/// `superblock·W + w` with lane mask `lane_mask[w]` — at every `W`. The
-/// telemetry matches exactly at every width too: per-word materialisation
-/// charges each word's demanding lanes at the same walk step the narrow
-/// kernel would, and word `w`'s walk is the narrow walk bit for bit.
-pub fn survivors_wide<const W: usize>(
-    view: &CoinView,
-    order: &[usize],
-    seed: u64,
-    superblock: u64,
-    lane_mask: &[u64; W],
-    lazy: bool,
-    s: &mut WideScratch<W>,
-) -> [u64; W] {
-    survivors_wide_impl(view, order, seed, superblock, lane_mask, lazy, s)
-}
-
-/// Antithetic variant of [`survivors_wide`]: lane `j` of word `w` carries
-/// a pair of mirrored worlds. Returns `(plain, mirrored)` survivor arrays.
-pub fn survivors_wide_antithetic<const W: usize>(
-    view: &CoinView,
-    order: &[usize],
-    seed: u64,
-    superblock: u64,
-    lane_mask: &[u64; W],
-    lazy: bool,
-    s: &mut WideScratch<W>,
-) -> ([u64; W], [u64; W]) {
-    survivors_wide_antithetic_impl(view, order, seed, superblock, lane_mask, lazy, s)
 }
 
 /// Whether the running CPU offers AVX2 (memoised after the first call).
@@ -828,114 +515,78 @@ pub fn avx2_available() -> bool {
     false
 }
 
-/// The AVX2 compilation of the W=4 kernel.
+/// The AVX2 compilation of the kernel.
 ///
 /// No hand-written intrinsics: the `#[target_feature(enable = "avx2")]`
-/// wrappers force the `#[inline(always)]` generic kernel — comparator,
-/// mask cache, and attacker AND-loop — to be code-generated with 256-bit
-/// vectors. The computed bits are identical to the portable path by
-/// construction (same straight-line integer ops, different registers);
-/// the proptest suite re-checks that on every AVX2 host.
+/// wrapper forces the `#[inline(always)]` kernel — comparator, mask cache,
+/// and attacker AND-loop — to be code-generated with 256-bit vectors. The
+/// computed bits are identical to the portable path by construction (same
+/// straight-line integer ops, different registers); a unit test re-checks
+/// that on every AVX2 host.
 ///
 /// This module is the one `unsafe` island of the crate (calling a
 /// `#[target_feature]` function requires it on stable 1.75); its safe
-/// entry points are only reached behind [`avx2_available`].
+/// entry point is only reached behind [`avx2_available`].
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx2 {
     use super::*;
 
+    /// # Safety
+    ///
+    /// The running CPU must support AVX2 (`avx2_available()`).
     #[target_feature(enable = "avx2")]
-    unsafe fn survivors_w4_enabled(
+    unsafe fn survivors_enabled(
         view: &CoinView,
         order: &[usize],
         seed: u64,
         superblock: u64,
-        lane_mask: &[u64; 4],
+        lane_mask: &[u64; LANE_WORDS],
         lazy: bool,
-        s: &mut WideScratch<4>,
-    ) -> [u64; 4] {
-        survivors_wide_impl::<4>(view, order, seed, superblock, lane_mask, lazy, s)
+        s: &mut WideScratch,
+    ) -> [u64; LANE_WORDS] {
+        survivors_wide_impl(view, order, seed, superblock, lane_mask, lazy, s)
     }
 
-    #[target_feature(enable = "avx2")]
-    unsafe fn survivors_w4_antithetic_enabled(
+    pub(super) fn survivors(
         view: &CoinView,
         order: &[usize],
         seed: u64,
         superblock: u64,
-        lane_mask: &[u64; 4],
+        lane_mask: &[u64; LANE_WORDS],
         lazy: bool,
-        s: &mut WideScratch<4>,
-    ) -> ([u64; 4], [u64; 4]) {
-        survivors_wide_antithetic_impl::<4>(view, order, seed, superblock, lane_mask, lazy, s)
-    }
-
-    pub(super) fn survivors_w4(
-        view: &CoinView,
-        order: &[usize],
-        seed: u64,
-        superblock: u64,
-        lane_mask: &[u64; 4],
-        lazy: bool,
-        s: &mut WideScratch<4>,
-    ) -> [u64; 4] {
+        s: &mut WideScratch,
+    ) -> [u64; LANE_WORDS] {
         debug_assert!(super::avx2_available());
         // SAFETY: every call site is gated on `avx2_available()`.
-        unsafe { survivors_w4_enabled(view, order, seed, superblock, lane_mask, lazy, s) }
-    }
-
-    pub(super) fn survivors_w4_antithetic(
-        view: &CoinView,
-        order: &[usize],
-        seed: u64,
-        superblock: u64,
-        lane_mask: &[u64; 4],
-        lazy: bool,
-        s: &mut WideScratch<4>,
-    ) -> ([u64; 4], [u64; 4]) {
-        debug_assert!(super::avx2_available());
-        // SAFETY: every call site is gated on `avx2_available()`.
-        unsafe {
-            survivors_w4_antithetic_enabled(view, order, seed, superblock, lane_mask, lazy, s)
-        }
+        unsafe { survivors_enabled(view, order, seed, superblock, lane_mask, lazy, s) }
     }
 }
 
-/// Runtime-dispatched W=4 superblock: the AVX2 compilation when the CPU
-/// has it, the portable `survivors_wide::<4>` otherwise. Bit-identical
-/// either way.
-pub fn survivors_wide4(
+/// Evaluate one 256-world superblock: the wide counterpart of
+/// [`survivors_block`], returning per-word survivor masks. Runs the AVX2
+/// compilation when the CPU has it, the portable one otherwise;
+/// bit-identical either way.
+///
+/// Word `w` is bit-identical to `survivors_block` on narrow block
+/// `superblock·LANE_WORDS + w` with lane mask `lane_mask[w]`. The
+/// telemetry matches exactly too: per-word materialisation charges each
+/// word's demanding lanes at the same walk step the narrow kernel would,
+/// and word `w`'s walk is the narrow walk bit for bit.
+pub fn survivors_wide(
     view: &CoinView,
     order: &[usize],
     seed: u64,
     superblock: u64,
-    lane_mask: &[u64; 4],
+    lane_mask: &[u64; LANE_WORDS],
     lazy: bool,
-    s: &mut WideScratch<4>,
-) -> [u64; 4] {
+    s: &mut WideScratch,
+) -> [u64; LANE_WORDS] {
     #[cfg(target_arch = "x86_64")]
     if avx2_available() {
-        return avx2::survivors_w4(view, order, seed, superblock, lane_mask, lazy, s);
+        return avx2::survivors(view, order, seed, superblock, lane_mask, lazy, s);
     }
-    survivors_wide::<4>(view, order, seed, superblock, lane_mask, lazy, s)
-}
-
-/// Runtime-dispatched W=4 antithetic superblock; see [`survivors_wide4`].
-pub fn survivors_wide4_antithetic(
-    view: &CoinView,
-    order: &[usize],
-    seed: u64,
-    superblock: u64,
-    lane_mask: &[u64; 4],
-    lazy: bool,
-    s: &mut WideScratch<4>,
-) -> ([u64; 4], [u64; 4]) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        return avx2::survivors_w4_antithetic(view, order, seed, superblock, lane_mask, lazy, s);
-    }
-    survivors_wide_antithetic::<4>(view, order, seed, superblock, lane_mask, lazy, s)
+    survivors_wide_impl(view, order, seed, superblock, lane_mask, lazy, s)
 }
 
 #[cfg(test)]
@@ -995,31 +646,6 @@ mod tests {
         // A generic p stops once eq hits zero — far below 64 planes.
         let (_, planes) = bernoulli_mask(&mut BlockKey::new(0, 1).stream(0), threshold(0.37));
         assert!(planes <= 64);
-    }
-
-    #[test]
-    fn pair_is_exact_complement_at_half() {
-        for b in 0..50 {
-            let (p, m, planes) =
-                bernoulli_mask_pair(&mut BlockKey::new(3, b).stream(1), threshold(0.5));
-            assert_eq!(m, !p, "mirror is the exact complement at p = 1/2");
-            assert_eq!(planes, 1);
-        }
-    }
-
-    #[test]
-    fn pair_halves_have_equal_marginals() {
-        let t = threshold(0.3);
-        let (mut ones_p, mut ones_m) = (0u64, 0u64);
-        let blocks = 4000u64;
-        for b in 0..blocks {
-            let (p, m, _) = bernoulli_mask_pair(&mut BlockKey::new(17, b).stream(2), t);
-            ones_p += u64::from(p.count_ones());
-            ones_m += u64::from(m.count_ones());
-        }
-        let total = (blocks * 64) as f64;
-        assert!((ones_p as f64 / total - 0.3).abs() < 0.01);
-        assert!((ones_m as f64 / total - 0.3).abs() < 0.01);
     }
 
     #[test]
@@ -1109,28 +735,12 @@ mod tests {
         for &p in &[0.05, 0.37, 0.5, 0.99] {
             let t = threshold(p);
             for sb in 0..16u64 {
-                let keys = superblock_keys::<4>(21, sb);
-                let wide = bernoulli_masks_wide::<4>(&keys, 7, t);
-                for w in 0..4u64 {
-                    let narrow = bernoulli_mask(&mut BlockKey::new(21, sb * 4 + w).stream(7), t).0;
+                let keys = superblock_keys(21, sb);
+                let wide = bernoulli_masks_wide(&keys, 7, t);
+                for w in 0..LANE_WORDS as u64 {
+                    let block = sb * LANE_WORDS as u64 + w;
+                    let narrow = bernoulli_mask(&mut BlockKey::new(21, block).stream(7), t).0;
                     assert_eq!(wide[w as usize], narrow, "p {p} sb {sb} word {w}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn wide_pairs_match_narrow_pairs_word_for_word() {
-        for &p in &[0.3, 0.5, 0.8] {
-            let t = threshold(p);
-            for sb in 0..16u64 {
-                let keys = superblock_keys::<4>(5, sb);
-                let (plain, mirrored) = bernoulli_mask_pairs_wide::<4>(&keys, 2, t);
-                for w in 0..4u64 {
-                    let (np, nm, _) =
-                        bernoulli_mask_pair(&mut BlockKey::new(5, sb * 4 + w).stream(2), t);
-                    assert_eq!(plain[w as usize], np, "p {p} sb {sb} word {w}");
-                    assert_eq!(mirrored[w as usize], nm, "p {p} sb {sb} word {w}");
                 }
             }
         }
@@ -1145,98 +755,37 @@ mod tests {
     }
 
     #[test]
-    fn wide_survivors_match_narrow_blocks_at_every_width() {
+    fn wide_survivors_and_telemetry_match_narrow_blocks() {
         let view = wide_fixture();
         let order = view.checking_sequence();
-        let mut narrow = BlockScratch::default();
-        narrow.prepare(&view);
         let total = 1000u64; // exercises a partial trailing block
-        let blocks = total.div_ceil(64);
-        let reference: Vec<u64> = (0..blocks)
-            .map(|b| {
-                survivors_block(&view, &order, 13, b, block_lane_mask(total, b), true, &mut narrow)
-            })
-            .collect();
-
-        fn check<const W: usize>(view: &CoinView, order: &[usize], total: u64, want: &[u64]) {
-            let mut s = WideScratch::<W>::default();
-            s.prepare(view);
-            let superblocks = total.div_ceil(64 * W as u64);
+        for lazy in [true, false] {
+            let mut narrow = BlockScratch::default();
+            narrow.prepare(&view);
+            let reference: Vec<u64> = (0..total.div_ceil(64))
+                .map(|b| {
+                    let mask = block_lane_mask(total, b);
+                    survivors_block(&view, &order, 13, b, mask, lazy, &mut narrow)
+                })
+                .collect();
+            let mut s = WideScratch::default();
+            s.prepare(&view);
             let mut got = Vec::new();
-            for sb in 0..superblocks {
-                let mask = superblock_lane_mask::<W>(total, sb);
-                let live = survivors_wide::<W>(view, order, 13, sb, &mask, true, &mut s);
-                got.extend_from_slice(&live);
+            for sb in 0..total.div_ceil(64 * LANE_WORDS as u64) {
+                let mask = superblock_lane_mask(total, sb);
+                got.extend_from_slice(&survivors_wide(&view, &order, 13, sb, &mask, lazy, &mut s));
             }
-            for (b, &r) in want.iter().enumerate() {
-                assert_eq!(got[b], r, "W={W} block {b}");
-            }
-            // Words past the requested range carry no live lanes.
             for (b, &g) in got.iter().enumerate() {
-                if b >= want.len() {
-                    assert_eq!(g, 0, "W={W} phantom block {b}");
-                }
+                // Words past the requested range carry no live lanes.
+                let want = reference.get(b).copied().unwrap_or(0);
+                assert_eq!(g, want, "lazy {lazy} block {b}");
+            }
+            assert_eq!(s.coin_draws, narrow.coin_draws, "lazy {lazy}");
+            assert_eq!(s.attacker_checks, narrow.attacker_checks, "lazy {lazy}");
+            if !lazy {
+                assert_eq!(s.coin_draws, total * view.n_coins() as u64);
             }
         }
-        check::<1>(&view, &order, total, &reference);
-        check::<2>(&view, &order, total, &reference);
-        check::<4>(&view, &order, total, &reference);
-        check::<8>(&view, &order, total, &reference);
-    }
-
-    #[test]
-    fn wide_antithetic_matches_narrow_pairs_blockwise() {
-        let view = wide_fixture();
-        let order = view.checking_sequence();
-        let mut narrow = BlockScratch::default();
-        narrow.prepare(&view);
-        let total = 512u64;
-        let blocks = total / 64;
-        let reference: Vec<(u64, u64)> = (0..blocks)
-            .map(|b| survivors_block_antithetic(&view, &order, 3, b, u64::MAX, true, &mut narrow))
-            .collect();
-        let mut s = WideScratch::<4>::default();
-        s.prepare(&view);
-        for sb in 0..blocks / 4 {
-            let mask = superblock_lane_mask::<4>(total, sb);
-            let (p, m) = survivors_wide_antithetic::<4>(&view, &order, 3, sb, &mask, true, &mut s);
-            for w in 0..4 {
-                let (rp, rm) = reference[(sb * 4) as usize + w];
-                assert_eq!(p[w], rp, "sb {sb} word {w} plain");
-                assert_eq!(m[w], rm, "sb {sb} word {w} mirrored");
-            }
-        }
-    }
-
-    #[test]
-    fn wide_eager_telemetry_counts_active_worlds_times_coins() {
-        let view = wide_fixture();
-        let order = view.checking_sequence();
-        let total = 1000u64;
-        let mut s = WideScratch::<4>::default();
-        s.prepare(&view);
-        for sb in 0..total.div_ceil(256) {
-            let mask = superblock_lane_mask::<4>(total, sb);
-            survivors_wide::<4>(&view, &order, 13, sb, &mask, false, &mut s);
-        }
-        assert_eq!(s.coin_draws, total * view.n_coins() as u64);
-    }
-
-    #[test]
-    fn wide_width_one_telemetry_matches_block_scratch_exactly() {
-        let view = wide_fixture();
-        let order = view.checking_sequence();
-        let mut narrow = BlockScratch::default();
-        let mut wide = WideScratch::<1>::default();
-        narrow.prepare(&view);
-        wide.prepare(&view);
-        for b in 0..32u64 {
-            let a = survivors_block(&view, &order, 9, b, u64::MAX, true, &mut narrow);
-            let w = survivors_wide::<1>(&view, &order, 9, b, &[u64::MAX], true, &mut wide);
-            assert_eq!([a], w);
-        }
-        assert_eq!(narrow.coin_draws, wide.coin_draws);
-        assert_eq!(narrow.attacker_checks, wide.attacker_checks);
     }
 
     #[test]
@@ -1246,20 +795,17 @@ mod tests {
         if !avx2_available() {
             return; // nothing to compare on this host
         }
-        let mut portable = WideScratch::<4>::default();
-        let mut vectored = WideScratch::<4>::default();
+        let mut portable = WideScratch::default();
+        let mut vectored = WideScratch::default();
         portable.prepare(&view);
         vectored.prepare(&view);
         for sb in 0..32u64 {
-            let mask = [u64::MAX; 4];
-            let a = survivors_wide::<4>(&view, &order, 77, sb, &mask, true, &mut portable);
-            let b = survivors_wide4(&view, &order, 77, sb, &mask, true, &mut vectored);
-            assert_eq!(a, b, "superblock {sb}");
-            let (ap, am) =
-                survivors_wide_antithetic::<4>(&view, &order, 77, sb, &mask, true, &mut portable);
-            let (bp, bm) =
-                survivors_wide4_antithetic(&view, &order, 77, sb, &mask, true, &mut vectored);
-            assert_eq!((ap, am), (bp, bm), "antithetic superblock {sb}");
+            let mask = superblock_lane_mask(32 * 256 - 100, sb);
+            for lazy in [true, false] {
+                let a = survivors_wide_impl(&view, &order, 77, sb, &mask, lazy, &mut portable);
+                let b = survivors_wide(&view, &order, 77, sb, &mask, lazy, &mut vectored);
+                assert_eq!(a, b, "superblock {sb} lazy {lazy}");
+            }
         }
         assert_eq!(portable.coin_draws, vectored.coin_draws);
         assert_eq!(portable.attacker_checks, vectored.attacker_checks);
@@ -1268,32 +814,19 @@ mod tests {
     #[test]
     fn superblock_lane_masks_cover_exactly_the_requested_worlds() {
         for total in [1u64, 63, 64, 65, 255, 256, 257, 1000, 4096] {
-            let superblocks = total.div_ceil(256);
-            let lanes: u64 = (0..superblocks)
-                .map(|sb| popcount_wide(&superblock_lane_mask::<4>(total, sb)))
-                .sum();
+            let superblocks = total.div_ceil(64 * LANE_WORDS as u64);
+            let lanes: u64 =
+                (0..superblocks).map(|sb| popcount_wide(&superblock_lane_mask(total, sb))).sum();
             assert_eq!(lanes, total, "total {total}");
-            // Word w mirrors the narrow lane mask of block sb·W + w.
+            // Word w mirrors the narrow lane mask of block sb·LANE_WORDS + w.
             for sb in 0..superblocks {
-                let mask = superblock_lane_mask::<4>(total, sb);
-                for w in 0..4u64 {
-                    let block = sb * 4 + w;
+                let mask = superblock_lane_mask(total, sb);
+                for w in 0..LANE_WORDS as u64 {
+                    let block = sb * LANE_WORDS as u64 + w;
                     let want = if block * 64 >= total { 0 } else { block_lane_mask(total, block) };
                     assert_eq!(mask[w as usize], want);
                 }
             }
         }
-    }
-
-    #[test]
-    fn lane_width_normalisation_rounds_down_to_supported() {
-        assert_eq!(normalize_lane_words(0), 1);
-        assert_eq!(normalize_lane_words(1), 1);
-        assert_eq!(normalize_lane_words(2), 2);
-        assert_eq!(normalize_lane_words(3), 2);
-        assert_eq!(normalize_lane_words(4), 4);
-        assert_eq!(normalize_lane_words(7), 4);
-        assert_eq!(normalize_lane_words(8), 8);
-        assert_eq!(normalize_lane_words(64), 8);
     }
 }

@@ -33,8 +33,8 @@
 //!   [`epoch::SnapshotView`] so concurrent writes never alter a value
 //!   mid-request.
 //! * [`bitworlds`] — the bit-parallel possible-world kernel: 64 worlds per
-//!   machine word (multi-word SIMD lanes widen this to 256+ per step),
-//!   bit-sliced Bernoulli masks, counter-based seeding.
+//!   machine word, four words (256 worlds) per step, bit-sliced Bernoulli
+//!   masks, counter-based seeding.
 //! * [`num_threads`] — the one place a requested thread count is resolved
 //!   against the machine.
 //!
@@ -92,10 +92,8 @@ pub fn num_threads(requested: Option<usize>) -> usize {
 pub mod prelude {
     pub use crate::batch::{BatchCoinContext, BatchScratch};
     pub use crate::bitworlds::{
-        bernoulli_mask, bernoulli_mask_pair, block_lane_mask, normalize_lane_words,
-        superblock_lane_mask, survivors_block, survivors_block_antithetic, survivors_wide,
-        survivors_wide_antithetic, threshold, BlockKey, BlockScratch, PlaneRng, WideScratch,
-        DEFAULT_LANE_WORDS,
+        bernoulli_mask, block_lane_mask, superblock_lane_mask, survivors_block, survivors_wide,
+        threshold, BlockKey, BlockScratch, PlaneRng, WideScratch, LANE_WORDS,
     };
     pub use crate::coins::{Attacker, CoinKey, CoinRemap, CoinView, SYNTHETIC_SOURCE};
     pub use crate::dominance::{differing_dims, dominates_in_world, pr_dominates};

@@ -92,7 +92,6 @@ pub(crate) fn request_signature(
             sig.u64(opts.sprt.beta.to_bits());
             sig.u64(opts.sprt.max_samples);
             sig.u64(opts.sprt.seed);
-            sig.u64(opts.sprt.lane_words as u64);
             sig.absent_deadline(opts.sprt.deadline_at);
             sig.sam(&opts.fallback);
             sig.opt_u64(opts.threads.map(|t| t as u64));
@@ -172,7 +171,6 @@ impl Sig {
         self.bool(sam.sort_checking);
         self.bool(sam.lazy);
         self.bool(sam.bit_parallel);
-        self.u64(sam.lane_words as u64);
         self.absent_deadline(sam.deadline_at);
     }
 
