@@ -127,10 +127,10 @@ pub fn ablation_sam(budget: &Budget) -> FigReport {
         ]);
     }
     rep.note(
-        "Lazy sampling slashes coin draws; the sorted checking sequence slashes attacker \
-         checks. The paper's combination is the cheapest; the kernel (rows 0-3) evaluates \
-         256 worlds per mask op versus 1 for the scalar loop (row 4), with the same \
-         per-world draw and check accounting.",
+        "Lazy sampling cuts coin draws about 11x and the sorted checking sequence cuts \
+         attacker checks about 1.8x, but on the bit-parallel kernel eager sampling is the \
+         faster in time. The kernel (rows 0-3) evaluates 256 worlds per mask op versus 1 \
+         for the scalar loop (row 4), with the same per-world draw and check accounting.",
     );
     rep
 }

@@ -49,7 +49,8 @@ mod sensitivity;
 pub use plan::{exact_cost, largest_component, Plan, PlanReason};
 pub use prepare::{PrepareOptions, SkyScratch};
 pub use resident::{
-    all_sky_resident, sky_one_resident, threshold_resident, top_k_resident, ResidentOutcome,
+    all_sky_resident, sky_one_resident, sky_one_stored, threshold_resident, top_k_resident,
+    ResidentOutcome,
 };
 pub use sensitivity::{
     elicitation_rank_resident, sensitivity_one_resident, sensitivity_resident, ElicitOptions,
@@ -73,9 +74,8 @@ pub use sensitivity::{
 ///
 /// An attached **answer store** (the pinned epoch's
 /// [`AnswerStore`]) records every exact answer [`sky_one_resident`] and
-/// [`all_sky_resident`] compute, and lets [`sky_one_resident`] answer a
-/// stored target without running the pipeline when its policy would plan
-/// the stored shape exact. The caller attaches it only where every answer
+/// [`all_sky_resident`] compute; reads go through [`sky_one_stored`]
+/// before a scope is built. The caller attaches it only where every answer
 /// the request can compute is the epoch's base answer: no tenant overlay,
 /// or a single target no overlay pair touches.
 #[derive(Debug, Clone, Copy)]

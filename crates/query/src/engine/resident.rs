@@ -24,10 +24,12 @@
 //!
 //! When the [`CacheScope`] carries the pinned epoch's answer store,
 //! [`sky_one_resident`] and [`all_sky_resident`] record every exact answer
-//! they compute in it, and [`sky_one_resident`] serves a stored target
-//! after admission without running the pipeline — only where its own
-//! policy would plan the stored shape exact (see `reusable`). All-sky,
-//! threshold and top-k still compute every target.
+//! they compute in it. None of the drivers reads it: the one reader is
+//! [`sky_one_stored`], which a service calls at admission, before any
+//! pipeline state exists, and which answers a stored target only where
+//! the read's budget lets it start and its own policy would plan the
+//! stored shape exact (see `reusable`). All-sky, threshold and top-k
+//! still compute every target.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -197,10 +199,8 @@ pub fn all_sky_resident<M: PreferenceModel + Sync>(
 ///
 /// Deliberately *not* seed-decorrelated: with an unlimited budget the
 /// value is bit-identical to the one-shot `sky_one` of the same policy.
-/// A target stored in the scope's answer store is answered from it once
-/// admitted, where this request's policy would plan the stored shape exact
-/// and its joint allowance covers the stored solve; the stored logical
-/// joints are re-added, as a component-cache hit does.
+/// An exact answer it computes is recorded in the scope's answer store; it
+/// never reads the store (the caller asks [`sky_one_stored`] first).
 pub fn sky_one_resident<M: PreferenceModel>(
     ctx: &BatchCoinContext,
     prefs: &M,
@@ -215,16 +215,6 @@ pub fn sky_one_resident<M: PreferenceModel>(
     let mut scratch = SkyScratch::default();
     let mut stats = PipelineStats::default();
     let result = run_budgeted(&ledger, &budget, &mut stats, |per_object, stats| {
-        let stored = answers.and_then(|store| store.get(target));
-        if let Some(answer) = stored.filter(|a| reusable(opts.algorithm, per_object, a)) {
-            stats.store_hits += 1;
-            stats.joints_computed += answer.joints;
-            return Ok(SkyResult {
-                object: target,
-                sky: f64::from_bits(answer.sky_bits),
-                exact: true,
-            });
-        }
         solve_recorded(
             ctx,
             prefs,
@@ -239,6 +229,34 @@ pub fn sky_one_resident<M: PreferenceModel>(
         )
     })?;
     Ok(ResidentOutcome { results: vec![result], stats, truncated: ledger.truncated.into_inner() })
+}
+
+/// The stored answer to a single-target read of `target` under `opts` and
+/// `budget`, with the counters such a read reports: one store hit, and the
+/// stored logical joints re-added, as a component-cache hit re-adds the
+/// joints of its cached solve.
+///
+/// `None` unless the read opted into caching, its budget would let the
+/// object start at all (the request ledger's admission test: deadline not
+/// expired, no zero joint or sample allowance), `target` is stored, and
+/// the request's policy and joint allowance accept the stored solve (see
+/// `reusable`). The value is then bit-identical to what
+/// [`sky_one_resident`] computes under the same policy. `answers` must
+/// hold the base answers of the model the read is asked under.
+pub fn sky_one_stored(
+    answers: &AnswerStore,
+    target: ObjectId,
+    opts: QueryOptions,
+    budget: EngineBudget,
+) -> Option<(SkyResult, PipelineStats)> {
+    if !opts.component_cache || !Ledger::new(&budget).admits(&budget) {
+        return None;
+    }
+    let answer = answers.get(target).filter(|a| reusable(opts.algorithm, budget, a))?;
+    let result = SkyResult { object: target, sky: f64::from_bits(answer.sky_bits), exact: true };
+    let stats =
+        PipelineStats { store_hits: 1, joints_computed: answer.joints, ..PipelineStats::default() };
+    Some((result, stats))
 }
 
 /// The answer store a request may use: the scope's, unless the request

@@ -27,10 +27,11 @@
 //!
 //! Each epoch also carries an [`AnswerStore`]: every exact per-target
 //! answer the resident drivers compute on it is recorded once, and a
-//! repeated `SkyOne` read is answered from it after admission, with no
-//! Prepare, when the request's own policy would plan the stored shape
-//! exact. A commit carries the store into the next epoch minus the targets
-//! the write dirtied ([`CommitReceipt::dirtied_targets`] counts them; a
+//! repeated `SkyOne` read is answered from it at admission — ahead of
+//! coalescing, with no Prepare — when the read's budget lets it start and
+//! its own policy would plan the stored shape exact ([`Engine::run`]). A
+//! commit carries the store into the next epoch minus the targets the
+//! write dirtied ([`CommitReceipt::dirtied_targets`] counts them; a
 //! removal also shifts later slots down), an O(n) copy per write.
 //! Untenanted requests read it (`SkyOne`) and fill it (`SkyOne` and
 //! all-sky). A tenanted `SkyOne` uses it only for a target none of its
@@ -88,7 +89,8 @@ use presky_exact::cache::{ComponentCache, Eviction, DEFAULT_BYTE_CAP};
 use presky_exact::snapshot::{self, Fnv, SnapshotFingerprint};
 use presky_query::engine::{
     all_sky_resident, elicitation_rank_resident, sensitivity_one_resident, sensitivity_resident,
-    sky_one_resident, threshold_resident, top_k_resident, CacheScope, EngineBudget, PipelineStats,
+    sky_one_resident, sky_one_stored, threshold_resident, top_k_resident, CacheScope, EngineBudget,
+    PipelineStats,
 };
 use presky_query::prob_skyline::Algorithm;
 
@@ -557,16 +559,21 @@ impl<M: PreferenceModel + Sync> Engine<M> {
 
     /// Serve one request from this thread.
     ///
-    /// The request pins the current epoch at admission and answers
-    /// entirely from it; [`Response::epoch`] records which. With
-    /// coalescing enabled (the default), identical concurrent submissions
-    /// *that pinned the same epoch* share one execution: the first
-    /// becomes the leader and runs the solo path; the rest block and
-    /// receive the leader's [`Response`] (own `elapsed`, leader's value
-    /// and stats), provided the leader's [`Budget`] covers theirs — see
-    /// [`crate::coalesce`] for the exact rule. A submission arriving
-    /// after a write commits pins a newer epoch and opens its own flight.
-    /// A failed leader sends its followers to solo execution; every
+    /// The request resolves its tenant's overlay, then pins the current
+    /// epoch and answers entirely from it; [`Response::epoch`] records
+    /// which. A `SkyOne` whose answer the pinned epoch has stored is then
+    /// answered from the store, where the read's budget lets it start and
+    /// its own policy would plan the stored shape exact
+    /// ([`sky_one_stored`]). Such a read passes the same admission gates and
+    /// counters as a computed one, but never joins a coalescing flight and
+    /// runs no pipeline. With coalescing enabled (the default), other
+    /// identical concurrent submissions *that pinned the same epoch* share
+    /// one execution: the first becomes the leader and runs the solo path;
+    /// the rest block and receive the leader's [`Response`] (own `elapsed`,
+    /// leader's value and stats), provided the leader's [`Budget`] covers
+    /// theirs — see [`crate::coalesce`] for the exact rule. A submission
+    /// arriving after a write commits pins a newer epoch and opens its own
+    /// flight. A failed leader sends its followers to solo execution; every
     /// submission is counted exactly once in the metrics. Any number of
     /// threads may call this concurrently on one engine.
     ///
@@ -575,6 +582,9 @@ impl<M: PreferenceModel + Sync> Engine<M> {
         inc(&self.metrics.requests);
         let overlay = self.resolve_overlay(&request)?;
         let epoch = self.pin();
+        if let Some(stored) = self.run_stored(&request, &epoch, overlay.as_deref()) {
+            return stored;
+        }
         if !self.opts.coalescing {
             return self.run_solo(&request, &epoch, overlay.as_deref());
         }
@@ -631,6 +641,29 @@ impl<M: PreferenceModel + Sync> Engine<M> {
         }
     }
 
+    /// Answer a stored single-target read at admission: `None`, with no
+    /// counter touched, unless the request is a `SkyOne`, the pinned
+    /// epoch's store holds base answers for it ([`Self::answers_for`]) and
+    /// [`sky_one_stored`] accepts it. An accepted read then passes both
+    /// admission gates and lands in exactly one terminal counter, as
+    /// [`Self::run_solo`] does, with no flight, pipeline or allocation.
+    fn run_stored(
+        &self,
+        request: &Request,
+        epoch: &DatasetEpoch<M>,
+        overlay: Option<&TenantState>,
+    ) -> Option<Result<Response>> {
+        let Query::SkyOne { target, opts } = request.query else { return None };
+        let answers = self.answers_for(request, epoch, overlay)?;
+        let admitted_at = Instant::now();
+        let budget = request.budget.to_engine_budget(admitted_at);
+        let (result, stats) = sky_one_stored(answers, target, opts, budget)?;
+        Some(self.admit(epoch, &request.query).map(|slot| {
+            drop(slot);
+            self.complete(request, epoch, admitted_at, Value::Sky(Some(result)), stats, 0)
+        }))
+    }
+
     /// Execute one request outside the single-flight layer: admission
     /// gates, budget pinning, the resident pipeline, outcome
     /// classification. Exactly one terminal counter (`completed`, a shed
@@ -656,24 +689,7 @@ impl<M: PreferenceModel + Sync> Engine<M> {
         epoch: &Arc<DatasetEpoch<M>>,
         overlay: Option<&TenantState>,
     ) -> Result<Response> {
-        if let Some(max) = self.opts.max_predicted_cost {
-            let predicted = self.predicted_cost_on(epoch, &request.query);
-            if predicted > max {
-                inc(&self.metrics.shed_cost);
-                return Err(ServiceError::CostCeiling { predicted, max });
-            }
-        }
-        let previous = self.in_flight.fetch_add(1, Ordering::AcqRel);
-        let slot = InFlightSlot(&self.in_flight);
-        if previous >= self.opts.max_in_flight {
-            inc(&self.metrics.shed_overload);
-            return Err(ServiceError::Overloaded {
-                in_flight: previous,
-                max: self.opts.max_in_flight,
-            });
-        }
-        inc(&self.metrics.admitted);
-
+        let slot = self.admit(epoch, &request.query)?;
         let admitted_at = Instant::now();
         let budget = request.budget.to_engine_budget(admitted_at);
         let scope = self
@@ -692,7 +708,43 @@ impl<M: PreferenceModel + Sync> Engine<M> {
             _ => dispatch(&request.query, ctx, epoch.prefs().as_ref(), Some(scope), budget)?,
         };
         drop(slot);
+        Ok(self.complete(request, epoch, admitted_at, value, stats, truncated))
+    }
 
+    /// The two admission gates of the [module docs](self), in order: a
+    /// shed request is counted here and gets its error; an admitted one
+    /// holds the returned in-flight slot while it runs.
+    fn admit(&self, epoch: &DatasetEpoch<M>, query: &Query) -> Result<InFlightSlot<'_>> {
+        if let Some(max) = self.opts.max_predicted_cost {
+            let predicted = self.predicted_cost_on(epoch, query);
+            if predicted > max {
+                inc(&self.metrics.shed_cost);
+                return Err(ServiceError::CostCeiling { predicted, max });
+            }
+        }
+        let previous = self.in_flight.fetch_add(1, Ordering::AcqRel);
+        let slot = InFlightSlot(&self.in_flight);
+        if previous >= self.opts.max_in_flight {
+            inc(&self.metrics.shed_overload);
+            return Err(ServiceError::Overloaded {
+                in_flight: previous,
+                max: self.opts.max_in_flight,
+            });
+        }
+        inc(&self.metrics.admitted);
+        Ok(slot)
+    }
+
+    /// Count one admitted request's completion and classify its outcome.
+    fn complete(
+        &self,
+        request: &Request,
+        epoch: &DatasetEpoch<M>,
+        admitted_at: Instant,
+        value: Value,
+        stats: PipelineStats,
+        truncated: u64,
+    ) -> Response {
         self.metrics.merge_stats(&stats);
         self.count_tenant_stats(request.tenant, &stats);
         inc(&self.metrics.completed);
@@ -703,7 +755,7 @@ impl<M: PreferenceModel + Sync> Engine<M> {
         if !outcome.complete() {
             inc(&self.metrics.deadline_misses);
         }
-        Ok(Response { outcome, stats, elapsed: admitted_at.elapsed(), epoch: epoch.id() })
+        Response { outcome, stats, elapsed: admitted_at.elapsed(), epoch: epoch.id() }
     }
 
     /// The cache scope a request executes under: the shared cache, plus —
@@ -750,9 +802,11 @@ impl<M: PreferenceModel + Sync> Engine<M> {
     }
 
     /// Fold one tenanted execution's cache traffic into the per-tenant
-    /// counters and the engine-wide cross-user hit counter.
+    /// counters and the engine-wide cross-user hit counter. A response
+    /// with no cache probe (a stored or short-circuited read) has no hit
+    /// either, so it takes neither the tenant lock nor the add.
     fn count_tenant_stats(&self, tenant: Option<TenantId>, stats: &PipelineStats) {
-        let Some(t) = tenant else { return };
+        let Some(t) = tenant.filter(|_| stats.cache_probes > 0) else { return };
         self.metrics.tenant_add(t.0, |m| {
             m.cache_probes += stats.cache_probes;
             m.cache_hits += stats.cache_hits;
@@ -887,6 +941,7 @@ mod tests {
     use presky_query::topk::TopKOptions;
 
     use super::*;
+    use crate::metrics::TenantMetrics;
     use crate::request::Budget;
 
     fn engine(opts: EngineOptions) -> Engine<TablePreferences> {
@@ -1236,6 +1291,54 @@ mod tests {
         assert_eq!(all_sky_bits(&fresh)[3], kept.sky.to_bits());
         let m = e.metrics();
         assert_eq!((m.stats.store_hits, m.stats.store_records, m.single_reads), (3, 6, 5));
+    }
+
+    #[test]
+    fn stored_and_computed_reads_keep_every_counter() {
+        // One fixed serial sequence; every constant below was recorded
+        // while stored reads still ran through coalescing and the pipeline.
+        let e = engine(EngineOptions::default());
+        e.register_tenant(TenantId(7), &[(DimId(0), ValueId(0), ValueId(1), 0.9, 0.05)]).unwrap();
+        e.register_tenant(TenantId(8), &[]).unwrap();
+        let one = QueryOptions::default().with_threads(Some(1));
+        let sky_one = |t: u32| Request::sky_one(ObjectId(t), one);
+        let run = |r: Request| e.run(r).unwrap();
+
+        run(sky_one(0)); // cold: computed and recorded
+        run(Request::all_sky(one)); // records the other four targets
+        run(sky_one(0)); // stored
+        run(sky_one(3)); // stored
+        let sam = SamOptions::with_samples(500, 3);
+        run(Request::sky_one(ObjectId(1), one.with_algorithm(Algorithm::Sampling(sam))));
+        run(Request::sky_one(ObjectId(2), one.with_component_cache(false)));
+        let expired = Budget::default().with_deadline(Some(std::time::Duration::ZERO));
+        run(sky_one(4).with_budget(expired)); // truncated before the store
+
+        // Tenant 7's pair touches every row valued 0 or 1 on dim 0; row 3
+        // (valued 2) keeps its base answer.
+        run(sky_one(3).with_tenant(TenantId(7))); // stored
+        run(sky_one(0).with_tenant(TenantId(7))); // computed under the overlay
+        run(sky_one(0).with_tenant(TenantId(7))); // computed again, warm cache
+        run(Request::all_sky(one).with_tenant(TenantId(7)));
+        run(sky_one(1).with_tenant(TenantId(8))); // empty overlay: stored
+
+        let m = e.metrics();
+        assert_eq!((m.requests, m.admitted, m.completed, m.coalesced), (12, 12, 12, 0));
+        assert_eq!((m.coalesce_led, m.deadline_misses, m.shed(), m.failed), (0, 1, 0, 0));
+        assert_eq!(m.single_reads, 10);
+        assert_eq!((m.stats.store_hits, m.stats.store_records), (4, 5));
+        assert_eq!(m.stats.joints_computed, 86);
+        assert_eq!(m.stats.objects, 15, "stored reads run no pipeline");
+        assert_eq!((m.stats.cache_probes, m.stats.cache_hits, m.cross_user_hits), (35, 27, 13));
+        let tenant = |tenant, requests, cache_probes, cache_hits| TenantMetrics {
+            tenant,
+            requests,
+            cache_probes,
+            cache_hits,
+            coalesced: 0,
+        };
+        assert_eq!(m.tenants, vec![tenant(7, 4, 19, 17), tenant(8, 1, 0, 0)]);
+        assert_eq!(m.in_flight, 0);
     }
 
     #[test]

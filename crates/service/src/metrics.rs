@@ -66,7 +66,8 @@ impl Metrics {
         *self.stats.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Bump one tenant's counters (zero deltas are free).
+    /// Bump one tenant's counters under the per-tenant lock; callers with
+    /// nothing to add skip the call.
     pub(crate) fn tenant_add(&self, tenant: u64, f: impl FnOnce(&mut TenantMetrics)) {
         let mut tenants = self.tenants.lock().unwrap_or_else(|e| e.into_inner());
         let entry = tenants

@@ -473,14 +473,15 @@ proptest! {
 /// A stored exact answer is served only where the request itself would
 /// compute that exact value: a forced-sampling read, or an adaptive one
 /// whose component limit is below a target's largest component, answers
-/// exactly as a fresh engine does; an expired deadline still concludes
-/// `DeadlineExceeded`; and a served answer carries the cold joints.
+/// exactly as a fresh engine does; an expired deadline or a zero joint or
+/// sample allowance still concludes `DeadlineExceeded`; a served answer
+/// carries the cold joints; and a stored read passes both admission gates.
 #[test]
 fn stored_answers_respect_each_requests_policy_and_budget() {
     let table = car_projected(4).unwrap();
     let prefs = SeededPreferences::complementary(7);
     let engine = Engine::new(table.clone(), prefs, EngineOptions::default()).unwrap();
-    let fresh = Engine::new(table, prefs, EngineOptions::default()).unwrap();
+    let fresh = Engine::new(table.clone(), prefs, EngineOptions::default()).unwrap();
     let n = engine.n_objects() as u32;
     let filled = engine.run(all_sky()).unwrap();
     assert_eq!(filled.stats.store_records, u64::from(n), "every car target solves exactly");
@@ -515,15 +516,84 @@ fn stored_answers_respect_each_requests_policy_and_budget() {
         assert_eq!(warm.stats.joints_computed, cold.stats.joints_computed);
     }
 
-    // An expired deadline truncates before the store is consulted.
+    // An expired deadline, or a zero joint or sample allowance, truncates
+    // before the store is consulted.
     let expired = Budget::default().with_deadline(Some(std::time::Duration::ZERO));
-    let resp = engine.run(sky_one(0, None).with_budget(expired)).unwrap();
-    assert!(
-        matches!(resp.outcome, Outcome::DeadlineExceeded { truncated: 1, .. }),
-        "got {:?}",
-        resp.outcome
-    );
-    assert_eq!(resp.stats.store_hits, 0);
+    let no_joints = Budget::default().with_max_joints(Some(0));
+    let no_samples = Budget::default().with_max_samples(Some(0));
+    for budget in [expired, no_joints, no_samples] {
+        let resp = engine.run(sky_one(0, None).with_budget(budget)).unwrap();
+        assert!(
+            matches!(resp.outcome, Outcome::DeadlineExceeded { truncated: 1, .. }),
+            "{budget:?}: got {:?}",
+            resp.outcome
+        );
+        assert_eq!(resp.stats.store_hits, 0, "{budget:?}");
+    }
+
+    stored_reads_pass_both_admission_gates(table, prefs);
+}
+
+/// Every submission lands in exactly one terminal counter.
+fn assert_conserved(m: &MetricsSnapshot) {
+    assert_eq!(m.completed + m.coalesced + m.shed() + m.failed, m.requests, "{m:?}");
+    assert_eq!(m.in_flight, 0);
+}
+
+/// A stored read is shed as `Overloaded` while another request holds the
+/// engine's only in-flight slot, and as `CostCeiling` when its own
+/// predicted cost is over the ceiling. An engine with no slot at all
+/// never admits the read that would fill its store, so the slot is held
+/// by a read parked mid-execution.
+fn stored_reads_pass_both_admission_gates(table: Table, inner: SeededPreferences) {
+    let armed = Arc::new(AtomicBool::new(false));
+    let entered = Arc::new(AtomicBool::new(false));
+    let release = Arc::new(AtomicBool::new(false));
+    let gated = GatedPrefs {
+        inner,
+        armed: Arc::clone(&armed),
+        entered: Arc::clone(&entered),
+        release: Arc::clone(&release),
+    };
+    let one_slot = EngineOptions::default().with_max_in_flight(1);
+    let engine = Engine::new(table.clone(), gated, one_slot).unwrap();
+    engine.run(all_sky()).unwrap();
+    assert_eq!(engine.run(sky_one(0, None)).unwrap().stats.store_hits, 1);
+    armed.store(true, Ordering::SeqCst);
+    let shed = std::thread::scope(|scope| {
+        let parked = scope.spawn(|| engine.run(all_sky()).unwrap());
+        while !entered.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        let shed = engine.run(sky_one(0, None));
+        release.store(true, Ordering::SeqCst);
+        parked.join().unwrap();
+        shed
+    });
+    assert!(matches!(shed, Err(ServiceError::Overloaded { in_flight: 1, max: 1 })), "{shed:?}");
+    let m = engine.metrics();
+    assert_eq!((m.shed_overload, m.shed_cost, m.completed), (1, 0, 3));
+    assert_conserved(&m);
+
+    // The ceiling sits one below a default `sky_one`'s predicted cost. An
+    // adaptive read with a 64-world sampler is predicted far cheaper yet
+    // still plans these targets exact, so it fills the store under it.
+    let probe = Request::sky_one(ObjectId(0), QueryOptions::default());
+    let max = engine.predicted_cost(&probe.query) - 1;
+    let capped = EngineOptions::default().with_max_predicted_cost(Some(max));
+    let engine = Engine::new(table, inner, capped).unwrap();
+    let cheap =
+        Algorithm::Adaptive { exact_component_limit: 20, sam: SamOptions::with_samples(64, 0) };
+    for t in [0, 7] {
+        let fill = Request::sky_one(ObjectId(t), QueryOptions::default().with_algorithm(cheap));
+        assert_eq!(engine.run(fill).unwrap().stats.store_records, 1);
+        let shed = engine.run(sky_one(t, None));
+        assert!(matches!(shed, Err(ServiceError::CostCeiling { .. })), "{shed:?}");
+    }
+    let m = engine.metrics();
+    assert_eq!((m.shed_overload, m.shed_cost, m.completed), (0, 2, 2));
+    assert_eq!(m.stats.store_hits, 0);
+    assert_conserved(&m);
 }
 
 // ---------------------------------------------------------------------
