@@ -165,20 +165,6 @@ impl ComponentCache {
         ev
     }
 
-    /// Drop every entry, returning its bytes to the budget. This is the
-    /// wholesale invalidation incremental eviction replaces — kept as the
-    /// ablation baseline and for callers that deliberately want a cold
-    /// cache. Bytes are returned per dropped entry rather than reset, so a
-    /// concurrent insert's reservation stays counted.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut shard = shard.lock().unwrap_or_else(|e| e.into_inner());
-            let freed: u64 = shard.keys().map(|k| Self::entry_bytes(k)).sum();
-            shard.clear();
-            self.bytes.fetch_sub(freed, Ordering::Relaxed);
-        }
-    }
-
     /// Bytes charged against the budget for one entry with this key.
     pub fn entry_bytes(key: &[u8]) -> u64 {
         (key.len() + std::mem::size_of::<CacheEntry>()) as u64
@@ -343,48 +329,29 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_entries_bytes_and_registrations() {
-        let cache = ComponentCache::default();
-        let entry = CacheEntry { sky_bits: 0, joints_computed: 0 };
-        let k = sig(&[(0, 1, 5)]);
-        assert!(cache.insert(&k, entry));
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.bytes(), 0);
-        assert_eq!(cache.evict_signature_touched(0, &[(1, 5)]), Eviction::default());
-        // Reusable after the wipe.
-        assert!(cache.insert(&k, entry));
-        assert_eq!(cache.evict_signature_touched(0, &[(1, 5)]).entries, 1);
-    }
-
-    #[test]
     fn shared_across_threads() {
         let cache = ComponentCache::default();
-        // A second cache with room for one 4-byte key. Every round releases
-        // the threads together to race for it, records what it holds once
-        // they are done, and empties it again.
+        // One small cache per round, each with room for one 4-byte key.
+        // Every round releases the threads together to race for its cache.
         let cap = ComponentCache::entry_bytes(&0u32.to_le_bytes());
-        let small = ComponentCache::with_byte_cap(cap as usize);
-        let (round, peak) = (std::sync::Barrier::new(4), AtomicU64::new(0));
+        let smalls: Vec<_> =
+            (0..200).map(|_| ComponentCache::with_byte_cap(cap as usize)).collect();
+        let round = std::sync::Barrier::new(4);
         std::thread::scope(|scope| {
             for t in 0..4u32 {
-                let (cache, small, round, peak) = (&cache, &small, &round, &peak);
+                let (cache, smalls, round) = (&cache, &smalls, &round);
                 scope.spawn(move || {
-                    for i in 0..200u32 {
+                    for (i, small) in (0..200u32).zip(smalls) {
                         let key = (t * 1000 + i).to_le_bytes();
                         cache.insert(&key, CacheEntry { sky_bits: 1, joints_computed: 1 });
                         round.wait();
                         small.insert(&key, CacheEntry { sky_bits: 1, joints_computed: 1 });
-                        if round.wait().is_leader() {
-                            peak.fetch_max(small.bytes(), Ordering::Relaxed);
-                            small.clear();
-                        }
                     }
                 });
             }
         });
         assert_eq!(cache.len(), 800);
-        let peak = peak.into_inner();
+        let peak = smalls.iter().map(ComponentCache::bytes).max().unwrap();
         assert!(peak <= cap, "{peak} bytes admitted under a {cap}-byte cap");
     }
 }

@@ -67,8 +67,8 @@ pub use sensitivity::{
 /// from it are counted in [`PipelineStats::cache_base_hits`] (they hit
 /// entries any tenant could have inserted — the cross-user shared ones).
 /// A nonzero **namespace** appends its eight bytes to every cache key,
-/// giving each tenant a private key space: the no-sharing ablation the
-/// multi-tenant bench measures against. Neither field affects computed
+/// giving each tenant a private key space: the no-sharing ablation
+/// (`skyprob serve --tenant-namespace`). Neither field affects computed
 /// values — the cache is content-addressed, so scoping only moves *where*
 /// hits land, never what a solve returns.
 ///

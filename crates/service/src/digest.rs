@@ -1,12 +1,12 @@
 //! Canonical response digests: one FNV-1a fold over typed [`Outcome`]s.
 //!
-//! Three bench drivers used to re-derive their own all-sky digest; this
-//! module is the single definition they (and the `skyprob elicit` smoke
-//! check) share. The contract is the one the drivers rely on: **equal
-//! digests ⇔ slot-for-slot bit-identical values**. Floats are folded by
-//! their IEEE bit patterns, absent slots by a presence byte, and every
-//! value variant by a distinct tag, so a truncated slot, a `-0.0`/`+0.0`
-//! flip or a shape change can never collide with a clean answer.
+//! The single definition the `skyprob serve` and `skyprob elicit` digest
+//! checks and perfbench's answer checks share. The contract is the one
+//! they rely on: **equal digests ⇔ slot-for-slot bit-identical values**.
+//! Floats are folded by their IEEE bit patterns, absent slots by a
+//! presence byte, and every value variant by a distinct tag, so a
+//! truncated slot, a `-0.0`/`+0.0` flip or a shape change can never
+//! collide with a clean answer.
 
 use presky_exact::snapshot::Fnv;
 

@@ -52,8 +52,6 @@
 //! costs O(cached entries). Entries keyed by the *old* bits that
 //! escape eviction (a concurrent old-epoch reader may insert one after
 //! the scan) are stale-unreachable garbage, never wrong answers.
-//! [`EngineOptions::incremental_invalidation`]` = false` swaps in the
-//! naive baseline (any write drops the whole cache) for A/B measurement.
 //!
 //! ## Admission control
 //!
@@ -114,19 +112,17 @@ pub struct EngineOptions {
     pub cache_bytes: usize,
     /// Single-flight coalescing of identical concurrent requests (see
     /// [`crate::coalesce`]): on by default; off makes every submission
-    /// execute solo (the A/B baseline for the `serve` bench).
+    /// execute solo (the `skyprob serve --no-coalesce` arm of CI's
+    /// coalescing gate).
     pub coalescing: bool,
-    /// Signature-targeted cache invalidation on preference edits (see the
-    /// [module docs](self)): on by default; off drops the whole component
-    /// cache on every write (the A/B baseline for mutation benches).
-    pub incremental_invalidation: bool,
     /// Per-tenant component-cache key namespacing — the **no-sharing
-    /// ablation** the multi-tenant bench measures against. Off (the
-    /// default), tenants share one content-addressed key space and every
-    /// overlay-untouched component is served across users; on, each
-    /// tenanted request suffixes its cache keys with the tenant id, so no
-    /// entry is ever shared between tenants. Values are bit-identical
-    /// either way (the cache only memoizes, never alters).
+    /// ablation** (`skyprob serve --tenant-namespace`, the baseline arm
+    /// of CI's tenant sharing gate). Off (the default), tenants share one
+    /// content-addressed key space and every overlay-untouched component
+    /// is served across users; on, each tenanted request suffixes its
+    /// cache keys with the tenant id, so no entry is ever shared between
+    /// tenants. Values are bit-identical either way (the cache only
+    /// memoizes, never alters).
     pub tenant_namespacing: bool,
 }
 
@@ -137,7 +133,6 @@ impl Default for EngineOptions {
             max_predicted_cost: None,
             cache_bytes: DEFAULT_BYTE_CAP,
             coalescing: true,
-            incremental_invalidation: true,
             tenant_namespacing: false,
         }
     }
@@ -165,12 +160,6 @@ impl EngineOptions {
     /// Chainable: enable or disable single-flight coalescing.
     pub fn with_coalescing(mut self, coalescing: bool) -> Self {
         self.coalescing = coalescing;
-        self
-    }
-
-    /// Chainable: enable or disable incremental cache invalidation.
-    pub fn with_incremental_invalidation(mut self, incremental: bool) -> Self {
-        self.incremental_invalidation = incremental;
         self
     }
 
@@ -302,29 +291,6 @@ impl<M: PreferenceModel + Sync> Engine<M> {
         })
     }
 
-    /// [`Engine::new`], then replace the empty component cache with a
-    /// snapshot loaded from `path` (see [`presky_exact::snapshot`]).
-    ///
-    /// The snapshot must carry this engine's [`fingerprint`]; a snapshot
-    /// taken over a different dataset or preference model is refused with
-    /// [`ServiceError::Warmstart`] — whose detail names *which* side
-    /// mismatched (the dataset or the preference grid) — and the engine is
-    /// **not** constructed. A fresh engine warm-started this way serves
-    /// its first requests at the steady-state cache hit rate instead of
-    /// paying the cold pass.
-    ///
-    /// [`fingerprint`]: Engine::fingerprint
-    pub fn with_warm_cache(
-        table: Table,
-        prefs: M,
-        opts: EngineOptions,
-        path: &Path,
-    ) -> Result<Self> {
-        let mut engine = Self::new(table, prefs, opts)?;
-        engine.load_cache_snapshot(path)?;
-        Ok(engine)
-    }
-
     /// Serialize the live component cache to `path`, keyed by the current
     /// epoch's [`fingerprint`](Engine::fingerprint). The file is
     /// versioned and checksummed; equal cache contents produce
@@ -374,15 +340,20 @@ impl<M: PreferenceModel + Sync> Engine<M> {
         self.current.read().unwrap_or_else(|e| e.into_inner()).id()
     }
 
-    /// Replace the component cache with a snapshot from `path`.
+    /// Replace the component cache with a snapshot loaded from `path`
+    /// (see [`presky_exact::snapshot`]).
     ///
-    /// Same contract as [`with_warm_cache`](Engine::with_warm_cache), but
-    /// callable on a built engine — the ordering a tenant-serving process
-    /// needs: construct, [`register_tenant`](Engine::register_tenant) the
-    /// same registry the snapshot was saved under, *then* warm-start. A
-    /// snapshot whose tenant-registry fingerprint differs from the
-    /// engine's is refused with [`ServiceError::Warmstart`] naming the
-    /// tenant registry.
+    /// The snapshot must carry this engine's [`fingerprint`]; one taken
+    /// over a different dataset, preference model or tenant registry is
+    /// refused with [`ServiceError::Warmstart`], whose detail names *which*
+    /// side mismatched, and the cache is left as it was. A tenant-serving
+    /// process constructs the engine,
+    /// [`register_tenant`](Engine::register_tenant)s the registry the
+    /// snapshot was saved under, *then* loads it. An engine warm-started
+    /// this way serves its first requests at the steady-state cache hit
+    /// rate instead of paying the cold pass.
+    ///
+    /// [`fingerprint`]: Engine::fingerprint
     pub fn load_cache_snapshot(&mut self, path: &Path) -> Result<()> {
         self.cache = snapshot::load_from_path(path, self.fingerprint(), self.opts.cache_bytes)?;
         Ok(())
@@ -472,9 +443,7 @@ impl<M: PreferenceModel + Sync> Engine<M> {
     /// probability bits actually changed, entries whose signature embeds
     /// the touched `(dim, value)` coin with its pre-edit bits are evicted
     /// by one scan over every cached entry, O(entries) under one shard
-    /// lock at a time (or the whole cache is dropped when
-    /// [`EngineOptions::incremental_invalidation`] is off). The receipt
-    /// carries the exact eviction counts.
+    /// lock at a time. The receipt carries the exact eviction counts.
     pub fn set_preference(
         &self,
         dim: DimId,
@@ -530,12 +499,6 @@ impl<M: PreferenceModel + Sync> Engine<M> {
 
     /// Evict what one write stranded (see the [module docs](self)).
     fn invalidate(&self, effects: &WriteEffects) -> Eviction {
-        if !self.opts.incremental_invalidation {
-            // Naive baseline: any write drops the whole cache.
-            let dropped = Eviction { entries: self.cache.len() as u64, bytes: self.cache.bytes() };
-            self.cache.clear();
-            return dropped;
-        }
         if effects.touched_coins.is_empty() {
             return Eviction::default();
         }
@@ -1153,22 +1116,6 @@ mod tests {
     }
 
     #[test]
-    fn full_drop_baseline_clears_the_cache_on_every_write() {
-        let e = engine(EngineOptions::default().with_incremental_invalidation(false));
-        e.run(Request::all_sky(QueryOptions::default())).unwrap();
-        let entries_before = e.metrics().cache_entries;
-        assert!(entries_before > 0);
-        let receipt = e.set_preference(DimId(0), ValueId(0), ValueId(1), 0.9, 0.05).unwrap();
-        assert_eq!(receipt.evicted_components as usize, entries_before);
-        assert_eq!(e.metrics().cache_entries, 0);
-        // Even a signature-preserving insert drops everything in this mode.
-        e.run(Request::all_sky(QueryOptions::default())).unwrap();
-        let receipt = e.insert_object(&[ValueId(7), ValueId(7)]).unwrap();
-        assert!(receipt.evicted_components > 0);
-        assert_eq!(e.metrics().cache_entries, 0);
-    }
-
-    #[test]
     fn failed_writes_install_nothing() {
         let e = engine(EngineOptions::default());
         // Duplicate row, bad dimensionality, out-of-range removal, and an
@@ -1365,13 +1312,13 @@ mod tests {
         cold.save_cache_snapshot(&path).unwrap();
 
         let table = cold.snapshot().table().as_ref().clone();
-        let warm = Engine::with_warm_cache(
+        let mut warm = Engine::new(
             table.clone(),
             TablePreferences::with_default(PrefPair::half()),
             EngineOptions::default(),
-            &path,
         )
         .unwrap();
+        warm.load_cache_snapshot(&path).unwrap();
         assert_eq!(warm.metrics().cache_entries, cold.metrics().cache_entries);
         assert_eq!(warm.fingerprint(), cold.fingerprint());
         // First pass on the warm engine: every probe hits, values are
@@ -1393,13 +1340,13 @@ mod tests {
 
         // A different preference model is a different fingerprint, and
         // the refusal names the preference side.
-        let other = Engine::with_warm_cache(
+        let mut other = Engine::new(
             table,
             TablePreferences::with_default(PrefPair::new(0.25, 0.25).unwrap()),
             EngineOptions::default(),
-            &path,
-        );
-        match other {
+        )
+        .unwrap();
+        match other.load_cache_snapshot(&path) {
             Err(ServiceError::Warmstart { detail }) => {
                 assert!(detail.contains("preference grid"), "detail: {detail}");
             }

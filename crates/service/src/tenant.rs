@@ -180,8 +180,8 @@ impl TenantRegistry {
 }
 
 /// Build a validated [`PrefDelta`] from `(dim, a, b, forward, backward)`
-/// rows. Shared by registration and the deterministic synthetic-overlay
-/// generator of the `serve`/`tenant_bench` workloads.
+/// rows, as [`Engine::register_tenant`](crate::Engine::register_tenant)
+/// installs them.
 pub(crate) fn delta_from_pairs(
     pairs: &[(DimId, ValueId, ValueId, f64, f64)],
 ) -> presky_core::error::Result<PrefDelta> {

@@ -154,8 +154,8 @@ fn refused_warmstarts_name_the_drifted_fingerprint_field() {
     engine.save_cache_snapshot(&path).unwrap();
 
     // Identical instance: the snapshot loads and the cache is warm.
-    let warm =
-        Engine::with_warm_cache(table.clone(), prefs, EngineOptions::default(), &path).unwrap();
+    let mut warm = Engine::new(table.clone(), prefs, EngineOptions::default()).unwrap();
+    warm.load_cache_snapshot(&path).unwrap();
     assert!(warm.metrics().cache_entries > 0);
 
     // Dataset drift (one row removed): refused, and the message blames
@@ -163,23 +163,15 @@ fn refused_warmstarts_name_the_drifted_fingerprint_field() {
     let drifted = Engine::new(table.clone(), prefs, EngineOptions::default()).unwrap();
     drifted.remove_object(ObjectId(0)).unwrap();
     let t2 = drifted.snapshot().table().as_ref().clone();
-    let e = Engine::with_warm_cache(t2, prefs, EngineOptions::default(), &path)
-        .map(|_| ())
-        .unwrap_err()
-        .to_string();
+    let mut fresh = Engine::new(t2, prefs, EngineOptions::default()).unwrap();
+    let e = fresh.load_cache_snapshot(&path).unwrap_err().to_string();
     assert!(e.contains("dataset"), "dataset drift must name the dataset field: {e}");
     assert!(!e.contains("preference grid"), "{e}");
 
     // Preference drift (re-elicited model): refused, blaming the grid.
-    let e = Engine::with_warm_cache(
-        table,
-        SeededPreferences::complementary(8),
-        EngineOptions::default(),
-        &path,
-    )
-    .map(|_| ())
-    .unwrap_err()
-    .to_string();
+    let mut fresh =
+        Engine::new(table, SeededPreferences::complementary(8), EngineOptions::default()).unwrap();
+    let e = fresh.load_cache_snapshot(&path).unwrap_err().to_string();
     assert!(e.contains("preference grid"), "preference drift must name the grid field: {e}");
 
     std::fs::remove_dir_all(&dir).ok();
@@ -192,7 +184,7 @@ fn refused_warmstarts_name_the_drifted_fingerprint_field() {
 fn preference_edits_evict_exactly_the_signature_touched_slice() {
     let table = car_projected(4).unwrap();
     let prefs = SeededPreferences::complementary(7);
-    let engine = Engine::new(table.clone(), prefs, EngineOptions::default()).unwrap();
+    let engine = Engine::new(table, prefs, EngineOptions::default()).unwrap();
     engine.run(all_sky()).unwrap();
     let entries_before = engine.metrics().cache_entries as u64;
     assert!(entries_before > 0);
@@ -229,27 +221,10 @@ fn preference_edits_evict_exactly_the_signature_touched_slice() {
     assert!(expected < entries_before, "untouched components must survive");
     assert_eq!(engine.metrics().cache_entries as u64, entries_before - expected);
 
-    // The surviving slice keeps the next pass warm …
+    // The surviving slice keeps the next pass warm.
     let resp = engine.run(all_sky()).unwrap();
     let hit_rate = resp.stats.cache_hits as f64 / resp.stats.cache_probes as f64;
     assert!(hit_rate >= 0.8, "post-edit all-sky hit rate {hit_rate:.3} below 0.8");
-
-    // … where the full-drop baseline starts cold: same edit, whole cache
-    // gone, strictly worse hit rate on the next pass.
-    let naive =
-        Engine::new(table, prefs, EngineOptions::default().with_incremental_invalidation(false))
-            .unwrap();
-    naive.run(all_sky()).unwrap();
-    let naive_before = naive.metrics().cache_entries as u64;
-    let receipt = naive.set_preference(dim, a, b, fwd, bwd).unwrap();
-    assert_eq!(receipt.evicted_components, naive_before, "full drop clears everything");
-    assert_eq!(naive.metrics().cache_entries, 0);
-    let resp = naive.run(all_sky()).unwrap();
-    let naive_rate = resp.stats.cache_hits as f64 / resp.stats.cache_probes as f64;
-    assert!(
-        naive_rate < hit_rate,
-        "full-drop rate {naive_rate:.3} must trail incremental {hit_rate:.3}"
-    );
 }
 
 // ---------------------------------------------------------------------

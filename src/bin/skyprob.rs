@@ -25,7 +25,7 @@
 //!                  [--max-in-flight 64] [--max-predicted-cost C]
 //!                  [--duplicate-fraction 0.9] [--no-coalesce]
 //!                  [--save-cache snap] [--warm-cache snap] [--min-warm-hit-rate 0.9]
-//!                  [--mutation-rate 0.1] [--mutation-mix prefs|mixed] [--full-drop]
+//!                  [--mutation-rate 0.1] [--mutation-mix prefs|mixed]
 //!                  [--min-post-mutation-hit-rate 0.8]
 //!                  [--tenants N] [--overlay-pairs K] [--tenant-zipf 1.1]
 //!                  [--tenant-namespace] [--min-cross-user-hit-rate 0.9]
@@ -52,20 +52,23 @@
 //! a tripped budget truncates slots — it never alters a value. `serve` is
 //! an in-process mixed-workload driver that exercises one engine from
 //! many threads and prints its `MetricsSnapshot` plus requests/s and
-//! p50/p99 latency. `--duplicate-fraction` injects identical concurrent
-//! submissions (the single-flight coalescing workload; `--no-coalesce`
-//! is the A/B baseline), and `--save-cache` / `--warm-cache` persist the
-//! component cache across restarts (`--min-warm-hit-rate` turns the warm
-//! first-round hit rate into an exit-code assertion for CI).
+//! p50/p99 latency; CI's serving gates compare the logs of `serve` runs
+//! that differ in one flag. `--duplicate-fraction` injects identical
+//! concurrent submissions (the single-flight coalescing workload;
+//! `--no-coalesce` is the A/B baseline), and `--save-cache` /
+//! `--warm-cache` persist the component cache across restarts
+//! (`--min-warm-hit-rate` turns the warm first-round hit rate into an
+//! exit-code assertion for CI). The first and post-storm all-sky times
+//! print in seconds, so two logs divide without unit parsing.
 //!
 //! `--mutation-rate` turns that fraction of serve submissions into
 //! *writes* against the live engine — preference edits, plus inserts and
 //! removals under the default `--mutation-mix mixed` (`prefs` keeps the
-//! row set fixed so the workload replays bit-identically). After the
+//! row set fixed so the workload replays bit-identically). After every
 //! storm the driver probes one all-sky pass: its cache hit rate gates
-//! `--min-post-mutation-hit-rate` (the incremental-invalidation evidence;
-//! `--full-drop` is the clear-everything A/B baseline) and its digest
-//! must match a fresh engine rebuilt from the final snapshot.
+//! `--min-post-mutation-hit-rate` (the incremental-invalidation evidence)
+//! and its digest must match a fresh engine rebuilt from the final
+//! snapshot, or the command fails.
 //!
 //! `elicit` closes the preference-elicitation loop end-to-end over a live
 //! engine: each round ranks the still-uncertain preference pairs by value
@@ -86,8 +89,9 @@
 //! zipf(`--tenant-zipf`) from a per-submission hash. Overlay-untouched
 //! components hit the shared cross-user component cache; the run prints
 //! the cross-user hit rate (`--min-cross-user-hit-rate` gates it for CI)
-//! and a tenant-0 all-sky digest. `--tenant-namespace` is the no-sharing
-//! ablation: per-tenant cache key spaces, bit-identical answers.
+//! and the all-sky digests of tenants 0 and N−1. `--tenant-namespace` is
+//! the no-sharing ablation: per-tenant cache key spaces, bit-identical
+//! answers.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -155,9 +159,8 @@ fn usage() -> String {
                 [--max-in-flight F] [--max-predicted-cost C] [--duplicate-fraction F]\n  \
                 [--no-coalesce] [--save-cache FILE] [--warm-cache FILE]\n  \
                 [--min-warm-hit-rate R] [--mutation-rate F] [--mutation-mix prefs|mixed]\n  \
-                [--full-drop] [--min-post-mutation-hit-rate R] [--tenants N]\n  \
-                [--overlay-pairs K] [--tenant-zipf Z] [--tenant-namespace]\n  \
-                [--min-cross-user-hit-rate R]"
+                [--min-post-mutation-hit-rate R] [--tenants N] [--overlay-pairs K]\n  \
+                [--tenant-zipf Z] [--tenant-namespace] [--min-cross-user-hit-rate R]"
         .to_owned()
 }
 
@@ -185,9 +188,8 @@ fn accepted_flags(cmd: &str, kind: Option<&str>) -> Option<&'static str> {
         ("serve", _) => {
             "table prefs seed-prefs threads rounds tau k deadline-ms max-joints max-samples \
              max-in-flight max-predicted-cost duplicate-fraction no-coalesce save-cache \
-             warm-cache min-warm-hit-rate mutation-rate mutation-mix full-drop \
-             min-post-mutation-hit-rate tenants overlay-pairs tenant-zipf tenant-namespace \
-             min-cross-user-hit-rate"
+             warm-cache min-warm-hit-rate mutation-rate mutation-mix min-post-mutation-hit-rate \
+             tenants overlay-pairs tenant-zipf tenant-namespace min-cross-user-hit-rate"
         }
         ("--help" | "-h" | "help", _) => "",
         _ => return None,
@@ -704,7 +706,8 @@ fn pick_rank(cdf: &[f64], u: f64) -> usize {
 /// (`--no-coalesce` is the A/B baseline). The run opens with a timed
 /// first-round all-sky probe — its cache hit rate backs
 /// `--min-warm-hit-rate` and its digest is the CI bit-identity handle —
-/// and closes with requests/s, p50/p99 latency, and the engine's
+/// and closes with requests/s, p50/p99 latency, a post-storm all-sky
+/// probe checked against a freshly rebuilt engine, and the engine's
 /// [`MetricsSnapshot`]. `--save-cache` / `--warm-cache` snapshot and
 /// restore the component cache across runs.
 fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
@@ -770,9 +773,6 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
     if flags.contains_key("no-coalesce") {
         engine_opts = engine_opts.with_coalescing(false);
     }
-    if flags.contains_key("full-drop") {
-        engine_opts = engine_opts.with_incremental_invalidation(false);
-    }
     let warm: Option<PathBuf> = get(flags, "warm-cache")?;
     let tenants_n: usize = get(flags, "tenants")?.unwrap_or(0);
     let overlay_k: usize = get(flags, "overlay-pairs")?.unwrap_or(2);
@@ -815,7 +815,8 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let (hits, probes) = (probe.stats.cache_hits, probe.stats.cache_probes);
     let hit_rate = if probes == 0 { 0.0 } else { hits as f64 / probes as f64 };
     println!(
-        "first all-sky: {probe_elapsed:.1?}, cache hit rate {hit_rate:.3} ({hits}/{probes} probes), digest {:016x}",
+        "first all-sky: {:.6} s, cache hit rate {hit_rate:.3} ({hits}/{probes} probes), digest {:016x}",
+        probe_elapsed.as_secs_f64(),
         digest(std::slice::from_ref(&probe.outcome))
     );
     if let Some(floor) = get::<f64>(flags, "min-warm-hit-rate")? {
@@ -979,7 +980,7 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
     latencies.sort_unstable();
     let total = latencies.len() as u64;
     println!(
-        "done in {elapsed:.1?}: {total} read submissions, {:.1} requests/s, p50 {:.1?}, p99 {:.1?}",
+        "done in {elapsed:.1?}: {total} read submissions, requests/s {:.1}, p50 {:.1?}, p99 {:.1?}",
         total as f64 / elapsed.as_secs_f64(),
         percentile(&latencies, 0.50),
         percentile(&latencies, 0.99),
@@ -998,52 +999,52 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
             writes[3],
             engine.epoch(),
         );
-        // Post-storm probe: the incremental-invalidation evidence. After a
-        // mutation storm the surviving cache should still answer most of
-        // the next all-sky pass (`--min-post-mutation-hit-rate` turns this
-        // into a CI exit-code assertion) …
-        let post_started = std::time::Instant::now();
-        let post = engine
-            .run(Request::all_sky(QueryOptions::default().with_threads(Some(1))))
-            .map_err(|e| e.to_string())?;
-        let post_elapsed = post_started.elapsed();
-        let (hits, probes) = (post.stats.cache_hits, post.stats.cache_probes);
-        let hit_rate = if probes == 0 { 0.0 } else { hits as f64 / probes as f64 };
-        let live_digest = digest(std::slice::from_ref(&post.outcome));
-        println!(
-            "post-mutation all-sky: {post_elapsed:.1?}, cache hit rate {hit_rate:.3} \
-             ({hits}/{probes} probes), digest {live_digest:016x}"
-        );
-        if let Some(floor) = get::<f64>(flags, "min-post-mutation-hit-rate")? {
-            if hit_rate < floor {
-                return Err(format!(
-                    "post-mutation cache hit rate {hit_rate:.3} below \
-                     --min-post-mutation-hit-rate {floor}"
-                ));
-            }
-        }
-        // … and every one of its values must be bit-identical to a cold
-        // engine rebuilt from the final snapshot — surviving cache entries
-        // are fast, never wrong.
-        let view = engine.snapshot();
-        let rebuilt = Engine::new(
-            view.table().as_ref().clone(),
-            view.prefs().as_ref().clone(),
-            EngineOptions::default(),
-        )
+    }
+    // Post-storm probe. After a mutation storm the surviving cache should
+    // still answer most of the next all-sky pass (the incremental-
+    // invalidation evidence `--min-post-mutation-hit-rate` gates) …
+    let post_started = std::time::Instant::now();
+    let post = engine
+        .run(Request::all_sky(QueryOptions::default().with_threads(Some(1))))
         .map_err(|e| e.to_string())?;
-        let rebuilt_resp = rebuilt
-            .run(Request::all_sky(QueryOptions::default().with_threads(Some(1))))
-            .map_err(|e| e.to_string())?;
-        let rebuilt_digest = digest(std::slice::from_ref(&rebuilt_resp.outcome));
-        if live_digest != rebuilt_digest {
+    let post_elapsed = post_started.elapsed();
+    let (hits, probes) = (post.stats.cache_hits, post.stats.cache_probes);
+    let hit_rate = if probes == 0 { 0.0 } else { hits as f64 / probes as f64 };
+    let live_digest = digest(std::slice::from_ref(&post.outcome));
+    println!(
+        "post-storm all-sky: {:.6} s, cache hit rate {hit_rate:.3} ({hits}/{probes} probes), \
+         digest {live_digest:016x}",
+        post_elapsed.as_secs_f64()
+    );
+    if let Some(floor) = get::<f64>(flags, "min-post-mutation-hit-rate")? {
+        if hit_rate < floor {
             return Err(format!(
-                "post-mutation digest {live_digest:016x} differs from fresh-rebuild digest \
-                 {rebuilt_digest:016x}: a write corrupted live state"
+                "post-storm cache hit rate {hit_rate:.3} below \
+                 --min-post-mutation-hit-rate {floor}"
             ));
         }
-        println!("post-mutation digest matches a fresh engine rebuilt from the final snapshot");
     }
+    // … and every one of its values must be bit-identical to a cold
+    // engine rebuilt from the final snapshot: cached, coalesced, stored
+    // and warm-started answers are fast, never different.
+    let view = engine.snapshot();
+    let rebuilt = Engine::new(
+        view.table().as_ref().clone(),
+        view.prefs().as_ref().clone(),
+        EngineOptions::default(),
+    )
+    .map_err(|e| e.to_string())?;
+    let rebuilt_resp = rebuilt
+        .run(Request::all_sky(QueryOptions::default().with_threads(Some(1))))
+        .map_err(|e| e.to_string())?;
+    let rebuilt_digest = digest(std::slice::from_ref(&rebuilt_resp.outcome));
+    if live_digest != rebuilt_digest {
+        return Err(format!(
+            "post-storm digest {live_digest:016x} differs from fresh-rebuild digest \
+             {rebuilt_digest:016x}: the live engine diverged"
+        ));
+    }
+    println!("post-storm digest matches a fresh engine rebuilt from the final snapshot");
     if tenants_n > 0 {
         let m = engine.metrics();
         let tenant_probes: u64 = m.tenants.iter().map(|r| r.cache_probes).sum();
@@ -1052,17 +1053,24 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), String> {
             "cross-user hit rate {rate:.3} ({} / {tenant_probes} tenant probes)",
             m.cross_user_hits
         );
-        // One deterministic tenant-0 all-sky probe: the bit-identity
-        // handle for the namespacing ablation (equal digests across
-        // shared and namespaced runs ⇔ namespacing shares less but never
-        // answers differently).
-        let tenant_probe = engine
-            .run(
-                Request::all_sky(QueryOptions::default().with_threads(Some(1)))
-                    .with_tenant(TenantId(0)),
-            )
-            .map_err(|e| e.to_string())?;
-        println!("tenant digest {:016x}", digest(std::slice::from_ref(&tenant_probe.outcome)));
+        // Deterministic all-sky probes of the most and least popular
+        // tenants: the bit-identity handles for the namespacing ablation
+        // (equal digests across shared and namespaced runs ⇔ namespacing
+        // shares less but never answers differently).
+        let mut probed = vec![0u64];
+        if tenants_n > 1 {
+            probed.push(tenants_n as u64 - 1);
+        }
+        for t in probed {
+            let tenant_probe = engine
+                .run(
+                    Request::all_sky(QueryOptions::default().with_threads(Some(1)))
+                        .with_tenant(TenantId(t)),
+                )
+                .map_err(|e| e.to_string())?;
+            let d = digest(std::slice::from_ref(&tenant_probe.outcome));
+            println!("tenant {t} digest {d:016x}");
+        }
         if let Some(floor) = get::<f64>(flags, "min-cross-user-hit-rate")? {
             if rate < floor {
                 return Err(format!(
@@ -1170,6 +1178,35 @@ mod tests {
         let e = run(&argv(&format!("sky --table {tbl} --prefs {prefs} --target 3 --algo nope")))
             .unwrap_err();
         assert!(e.contains("unknown algorithm"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn serve_arms_and_exit_code_gates() {
+        let dir = std::env::temp_dir().join(format!("skyprob-serve-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let tbl = dir.join("t.tbl").display().to_string();
+        let snap = dir.join("cache.snap").display().to_string();
+        let argv = |s: &str| -> Vec<String> { s.split_whitespace().map(String::from).collect() };
+        run(&argv(&format!("gen blockzipf --n 40 --d 3 --seed 5 --out {tbl}"))).unwrap();
+        // Every run also checks its post-storm all-sky against a rebuilt
+        // engine and fails on a mismatch.
+        let serve = format!("serve --table {tbl} --seed-prefs 7 --threads 2 --rounds 2");
+        run(&argv(&format!("{serve} --duplicate-fraction 0.9"))).unwrap();
+        run(&argv(&format!("{serve} --duplicate-fraction 0.9 --no-coalesce"))).unwrap();
+        // The snapshot a cold run saves answers every probe of the warm
+        // run's first all-sky; a cold engine fails the same gate.
+        run(&argv(&format!("{serve} --save-cache {snap}"))).unwrap();
+        run(&argv(&format!("{serve} --warm-cache {snap} --min-warm-hit-rate 0.999"))).unwrap();
+        let e = run(&argv(&format!("{serve} --min-warm-hit-rate 0.999"))).unwrap_err();
+        assert!(e.contains("below --min-warm-hit-rate 0.999"), "{e}");
+        // Shared tenants hit cross-user entries; the namespaced ablation
+        // never can, so the same floor fails there.
+        let tenants = format!("{serve} --tenants 8 --overlay-pairs 2 --tenant-zipf 1.1");
+        run(&argv(&format!("{tenants} --min-cross-user-hit-rate 0.5"))).unwrap();
+        let e = run(&argv(&format!("{tenants} --tenant-namespace --min-cross-user-hit-rate 0.5")))
+            .unwrap_err();
+        assert!(e.contains("below --min-cross-user-hit-rate 0.5"), "{e}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }
