@@ -58,6 +58,7 @@ pub mod prelude {
         sky_sam, sky_sam_view, sky_sam_view_with, SamOptions, SamOutcome, SamScratch,
     };
     pub use crate::sprt::{
-        sky_threshold_test, sky_threshold_test_view, SprtOptions, SprtOutcome, ThresholdDecision,
+        sky_threshold_test, sky_threshold_test_view, sky_threshold_test_view_with, SprtOptions,
+        SprtOutcome, ThresholdDecision,
     };
 }

@@ -211,21 +211,24 @@ pub fn sky_sam_view(view: &CoinView, opts: SamOptions) -> Result<SamOutcome> {
     sky_sam_view_with(view, opts, &mut SamScratch::default())
 }
 
-/// Reusable buffers for [`sky_sam_view_with`]. A default value works for
-/// any view; after the first call on the largest view, subsequent calls
-/// allocate nothing.
+/// Reusable buffers for [`sky_sam_view_with`] and
+/// [`sky_threshold_test_view_with`](crate::sprt::sky_threshold_test_view_with).
+/// A default value works for any view; after the first call on the
+/// largest view, subsequent calls allocate nothing.
 #[derive(Debug, Default)]
 pub struct SamScratch {
     stamp: Vec<u64>,
     win: Vec<bool>,
-    probs: Vec<f64>,
-    order: Vec<usize>,
+    /// Checking-sequence buffers, shared with the sequential test.
+    pub(crate) probs: Vec<f64>,
+    pub(crate) order: Vec<usize>,
     /// Monotone world counter: world `h` of a run stamps coins with
     /// `base + h`, so stale stamps from earlier runs (all `≤ base`) can
     /// never alias a current world and the stamp array needs no clearing.
     generation: u64,
-    /// Bit-parallel kernel state (thresholds, mask cache, telemetry).
-    bits: WideScratch,
+    /// Bit-parallel kernel state (thresholds, mask cache, telemetry),
+    /// shared with the sequential test.
+    pub(crate) bits: WideScratch,
 }
 
 /// One bit-parallel run: superblock loop, deadline checks between

@@ -45,6 +45,7 @@ use presky_core::table::Table;
 use presky_core::types::ObjectId;
 
 use crate::error::{ApproxError, Result};
+use crate::sampler::SamScratch;
 
 /// Configuration of the sequential test.
 #[derive(Debug, Clone, Copy)]
@@ -140,6 +141,13 @@ pub struct SprtOutcome {
     /// Running estimate `Y/m` at stopping time (biased by optional
     /// stopping — use for diagnostics, not as a point estimate).
     pub estimate: f64,
+    /// Coin draws of the kernel, counted per world as in
+    /// [`SamOutcome::coin_draws`](crate::sampler::SamOutcome::coin_draws).
+    /// A test that stops mid-superblock still counts the words of that
+    /// superblock it evaluated and discarded.
+    pub coin_draws: u64,
+    /// Attacker dominance checks of the kernel, counted per world.
+    pub attacker_checks: u64,
 }
 
 /// Sequentially test `sky(target) ≥ τ` over a table.
@@ -159,6 +167,20 @@ pub fn sky_threshold_test_view(
     view: &CoinView,
     tau: f64,
     opts: SprtOptions,
+) -> Result<SprtOutcome> {
+    sky_threshold_test_view_with(view, tau, opts, &mut SamScratch::default())
+}
+
+/// Allocation-reusing form of [`sky_threshold_test_view`]: the checking
+/// order and the kernel state live in `scratch`, the same buffers the
+/// fixed-budget sampler uses, so a worker's repeated tests allocate
+/// nothing once they have grown. Decisions, `samples_used`, estimates and
+/// counters are those of the allocating form.
+pub fn sky_threshold_test_view_with(
+    view: &CoinView,
+    tau: f64,
+    opts: SprtOptions,
+    scratch: &mut SamScratch,
 ) -> Result<SprtOutcome> {
     for (name, v) in
         [("tau", tau), ("margin", opts.margin), ("alpha", opts.alpha), ("beta", opts.beta)]
@@ -181,8 +203,9 @@ pub fn sky_threshold_test_view(
     let upper = ((1.0 - opts.beta) / opts.alpha).ln();
     let lower = (opts.beta / (1.0 - opts.alpha)).ln();
 
-    let order = view.checking_sequence();
-    run_sprt(view, &order, opts, WaldWalk { l_hit, l_miss, upper, lower })
+    view.checking_sequence_into(&mut scratch.probs, &mut scratch.order);
+    let walk = WaldWalk { l_hit, l_miss, upper, lower };
+    run_sprt(view, &scratch.order, opts, walk, &mut scratch.bits)
 }
 
 /// The precomputed Wald statistic increments and decision boundaries.
@@ -201,8 +224,8 @@ fn run_sprt(
     order: &[usize],
     opts: SprtOptions,
     walk: WaldWalk,
+    bits: &mut WideScratch,
 ) -> Result<SprtOutcome> {
-    let mut bits = WideScratch::default();
     bits.prepare(view);
     let worlds_per = 64 * LANE_WORDS as u64;
     let mut llr = 0.0;
@@ -214,15 +237,12 @@ fn run_sprt(
             // `Undecided` over the words completed so far rather than a
             // certificate the evidence has not earned.
             if Instant::now() >= at {
-                return Ok(SprtOutcome {
-                    decision: ThresholdDecision::Undecided,
-                    samples_used: used,
-                    estimate: if used == 0 { 0.0 } else { hits as f64 / used as f64 },
-                });
+                let estimate = if used == 0 { 0.0 } else { hits as f64 / used as f64 };
+                return Ok(outcome(ThresholdDecision::Undecided, used, estimate, bits));
             }
         }
         let lane_mask = superblock_lane_mask(opts.max_samples, sb);
-        let live = survivors_wide(view, order, opts.seed, sb, &lane_mask, true, &mut bits);
+        let live = survivors_wide(view, order, opts.seed, sb, &lane_mask, true, bits);
         for w in 0..LANE_WORDS {
             if lane_mask[w] == 0 {
                 break;
@@ -232,27 +252,34 @@ fn run_sprt(
             hits += word_hits;
             used += worlds;
             llr += word_hits as f64 * walk.l_hit + (worlds - word_hits) as f64 * walk.l_miss;
-            if llr >= walk.upper {
-                return Ok(SprtOutcome {
-                    decision: ThresholdDecision::AtLeast,
-                    samples_used: used,
-                    estimate: hits as f64 / used as f64,
-                });
-            }
-            if llr <= walk.lower {
-                return Ok(SprtOutcome {
-                    decision: ThresholdDecision::Below,
-                    samples_used: used,
-                    estimate: hits as f64 / used as f64,
-                });
-            }
+            let decision = if llr >= walk.upper {
+                ThresholdDecision::AtLeast
+            } else if llr <= walk.lower {
+                ThresholdDecision::Below
+            } else {
+                continue;
+            };
+            return Ok(outcome(decision, used, hits as f64 / used as f64, bits));
         }
     }
-    Ok(SprtOutcome {
-        decision: ThresholdDecision::Undecided,
-        samples_used: opts.max_samples,
-        estimate: hits as f64 / opts.max_samples as f64,
-    })
+    let estimate = hits as f64 / opts.max_samples as f64;
+    Ok(outcome(ThresholdDecision::Undecided, opts.max_samples, estimate, bits))
+}
+
+/// The outcome at stopping time, with the kernel's work counters.
+fn outcome(
+    decision: ThresholdDecision,
+    samples_used: u64,
+    estimate: f64,
+    bits: &WideScratch,
+) -> SprtOutcome {
+    SprtOutcome {
+        decision,
+        samples_used,
+        estimate,
+        coin_draws: bits.coin_draws,
+        attacker_checks: bits.attacker_checks,
+    }
 }
 
 #[cfg(test)]
@@ -261,6 +288,7 @@ mod tests {
 
     use super::*;
     use crate::bounds::hoeffding_samples;
+    use crate::sampler::{sky_sam_view_with, SamOptions};
 
     fn example1() -> (Table, TablePreferences) {
         let t =
@@ -323,6 +351,34 @@ mod tests {
             Err(ApproxError::ZeroSamples)
         ));
         assert!(sky_threshold_test(&t, &p, ObjectId(0), 1.5, SprtOptions::default()).is_err());
+    }
+
+    #[test]
+    fn reused_scratch_matches_fresh_tests_and_counts_kernel_work() {
+        // One scratch carried across views of different sizes, with a
+        // fixed-budget sampler run in between, must reproduce every fresh
+        // test exactly, counters included.
+        let (t, p) = example1();
+        let views: Vec<CoinView> = (0..5)
+            .map(|o| CoinView::build(&t, &p, ObjectId(o)).unwrap())
+            .chain([
+                CoinView::from_parts(vec![0.3; 70], (0..70).map(|k| vec![k]).collect()).unwrap()
+            ])
+            .collect();
+        let mut scratch = SamScratch::default();
+        for (v, view) in views.iter().enumerate() {
+            for tau in [0.05, 0.1875, 0.5] {
+                let opts = SprtOptions::default().with_seed(v as u64);
+                let fresh = sky_threshold_test_view(view, tau, opts).unwrap();
+                let reused = sky_threshold_test_view_with(view, tau, opts, &mut scratch).unwrap();
+                assert_eq!(fresh, reused, "view {v}, τ = {tau}");
+                if view.n_attackers() > 0 {
+                    assert!(fresh.attacker_checks > 0 && fresh.coin_draws > 0, "{fresh:?}");
+                }
+                let sam = SamOptions::with_samples(300, v as u64);
+                sky_sam_view_with(view, sam, &mut scratch).unwrap();
+            }
+        }
     }
 
     #[test]

@@ -432,8 +432,12 @@ pub fn ablation_threshold(budget: &Budget) -> FigReport {
     let members = answers.iter().filter(|a| a.member).count();
     rep.note(format!(
         "{members} members at τ = {tau}; whole query over {n} objects in {elapsed:.1?}. \
+         {} objects were decided by a bounds rung before any lattice walk and {} reached \
+         the exact rung (its bracketed early exits count under certified bounds above). \
          Engine stage wall-time (summed over workers): prepare {}, execute {}; \
          {} worlds sampled in total.",
+        pipeline.plan_bounds,
+        pipeline.plan_exact,
         format_secs(pipeline.prepare_nanos as f64 / 1e9),
         format_secs(pipeline.execute_nanos as f64 / 1e9),
         pipeline.samples_drawn,

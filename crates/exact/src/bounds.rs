@@ -18,9 +18,25 @@
 //!   as an estimate, but always *sound as a bound*, and tight when
 //!   attackers are value-disjoint.
 //!
+//! **Per component.** The independence components of a prepared view
+//! (Theorem 4) have independent dominance events, so `sky` is the product
+//! of the components' factors and the product of their cheap brackets
+//! ([`sky_bounds_cheap_subset`] on each component) encloses it:
+//!
+//! ```text
+//! Π_g lower_g   ≤   sky(O)   ≤   Π_g upper_g.
+//! ```
+//!
+//! The product costs the same `O(n·d)` as the whole-view bracket and is
+//! never looser. Below, each `lower_g` is at least its component's FKG
+//! product, so `Π_g lower_g` is at least the whole view's FKG product,
+//! which already dominates `1 − Σ_i Pr(e_i)`. Above, each `upper_g ≤ 1`,
+//! so `Π_g upper_g ≤ min_g upper_g`.
+//!
 //! The query layer uses these to resolve threshold membership without
 //! sampling: an object whose upper bound is below τ (or lower bound above)
-//! is decided outright.
+//! is decided outright — first from the per-component product, then from
+//! the whole-view Bonferroni bracket.
 
 use presky_core::coins::CoinView;
 
@@ -56,14 +72,25 @@ impl SkyBounds {
 /// Cheap `O(n·d)` bounds: FKG product and level-1 Bonferroni below,
 /// minimum complement above.
 pub fn sky_bounds_cheap(view: &CoinView) -> SkyBounds {
-    let n = view.n_attackers();
-    if n == 0 {
-        return SkyBounds { lower: 1.0, upper: 1.0 };
-    }
+    sky_bounds_cheap_subset(view, 0..view.n_attackers())
+}
+
+/// [`sky_bounds_cheap`] over the sub-instance of the given `attackers` of
+/// `view`, visited in the order given — for example one independence
+/// component (Theorem 4) of a prepared view, without restricting it into
+/// a sub-view first. The whole-view function is this one over `0..n`, so
+/// both produce the same bits on the same attackers.
+///
+/// An empty subset has no dominance event: `sky = 1` at both ends. A
+/// single attacker's bracket is `1 − Pr(e)` at both ends.
+pub fn sky_bounds_cheap_subset(
+    view: &CoinView,
+    attackers: impl IntoIterator<Item = usize>,
+) -> SkyBounds {
     let mut product = 1.0;
     let mut sum = 0.0;
     let mut min_complement = 1.0f64;
-    for i in 0..n {
+    for i in attackers {
         let p = view.attacker_prob(i);
         product *= 1.0 - p;
         sum += p;
@@ -117,6 +144,7 @@ mod tests {
 
     use super::*;
     use crate::det::{sky_det_view, DetOptions};
+    use crate::partition::partition;
 
     fn example1_view() -> CoinView {
         let t =
@@ -187,6 +215,58 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn component_bracket_product_encloses_det_on_multi_component_systems() {
+        let mut s = 0x5eedu64;
+        let mut next = || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        let mut singletons = 0;
+        for _ in 0..200 {
+            // Two to five blocks of coins; each block's attackers draw only
+            // from its own coins, so no attacker spans two blocks.
+            let blocks = 2 + (next() % 4) as usize;
+            let mut probs = Vec::new();
+            let mut clauses: Vec<Vec<u32>> = Vec::new();
+            for _ in 0..blocks {
+                let base = probs.len() as u32;
+                let m = 1 + (next() % 4) as usize;
+                probs.extend((0..m).map(|_| (next() % 1001) as f64 / 1000.0));
+                for _ in 0..1 + next() % 4 {
+                    let mask = (next() % ((1 << m) - 1)) + 1;
+                    clauses.push(
+                        (0..m as u32).filter(|&b| mask & (1 << b) != 0).map(|b| base + b).collect(),
+                    );
+                }
+            }
+            let view = CoinView::from_parts(probs, clauses).unwrap();
+            let exact = sky_det_view(&view, DetOptions::default()).unwrap().sky;
+            let groups = partition(&view);
+            assert!(groups.len() >= 2 || view.n_attackers() < 2);
+            let mut product = SkyBounds { lower: 1.0, upper: 1.0 };
+            for g in &groups {
+                let b = sky_bounds_cheap_subset(&view, g.iter().copied());
+                if let [i] = g[..] {
+                    let complement = (1.0 - view.attacker_prob(i)).to_bits();
+                    assert_eq!((b.lower.to_bits(), b.upper.to_bits()), (complement, complement));
+                    singletons += 1;
+                }
+                product =
+                    SkyBounds { lower: product.lower * b.lower, upper: product.upper * b.upper };
+            }
+            assert!(
+                product.lower <= exact + 1e-12 && exact <= product.upper + 1e-12,
+                "{product:?} vs {exact}"
+            );
+            let whole = sky_bounds_cheap(&view);
+            assert!(whole.lower <= product.lower + 1e-12 && product.upper <= whole.upper + 1e-12);
+        }
+        assert!(singletons > 0, "the corpus must contain singleton components");
     }
 
     #[test]

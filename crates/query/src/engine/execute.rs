@@ -5,9 +5,10 @@
 //! * [`execute`] — the flat query: per-component inclusion–exclusion for
 //!   [`Plan::Exact`], the Monte-Carlo estimator for [`Plan::Sample`];
 //! * [`threshold_ladder`] — the threshold query's escalation ladder, a
-//!   sequence of progressively more expensive plan refinements (certified
-//!   bounds → exact with early exit → sequential test → fixed-budget
-//!   estimate) over the same prepared instance.
+//!   sequence of progressively more expensive plan refinements over the
+//!   same prepared instance: the product of per-component cheap brackets →
+//!   whole-view Bonferroni bounds → exact with a bracketed early exit →
+//!   sequential test → fixed-budget estimate.
 //!
 //! Both record executor telemetry — joints computed, worlds sampled, coin
 //! draws, attacker checks, which ladder rung resolved each object — into
@@ -18,8 +19,8 @@ use std::time::Instant;
 use presky_core::types::ObjectId;
 
 use presky_approx::sampler::sky_sam_view_with;
-use presky_approx::sprt::{sky_threshold_test_view, ThresholdDecision};
-use presky_exact::bounds::{sky_bounds_bonferroni, SkyBounds};
+use presky_approx::sprt::{sky_threshold_test_view_with, ThresholdDecision};
+use presky_exact::bounds::{sky_bounds_bonferroni, sky_bounds_cheap_subset, SkyBounds};
 use presky_exact::cache::{CacheEntry, ComponentCache};
 use presky_exact::det::{sky_det_view_with, DetOptions};
 use presky_exact::signature::component_signature;
@@ -163,24 +164,27 @@ fn threshold_ladder_inner(
     stats: &mut PipelineStats,
     cache: Option<CacheScope<'_>>,
 ) -> Result<ThresholdAnswer> {
-    // Rung 1: certified bounds. Bonferroni on instances small enough that
-    // level-2 enumeration stays cheap; the O(n·d) cheap bounds otherwise.
-    let level = if s.work.n_attackers() <= 2_000 { opts.bonferroni_level } else { 1 };
-    let bounds = sky_bounds_bonferroni(&s.work, level)?;
-    if bounds.certainly_at_least(tau) || bounds.certainly_below(tau) {
+    // Rung 1: the product of per-component cheap brackets. The components
+    // are independent (Theorem 4), so the product encloses sky at O(n·d)
+    // cost, with no joint probability computed.
+    if let Some(answer) = decide(target, tau, component_brackets(s)) {
         stats.plan_bounds += 1;
-        return Ok(ThresholdAnswer {
-            object: target,
-            member: bounds.certainly_at_least(tau),
-            resolution: Resolution::Bounds(bounds),
-        });
+        return Ok(answer);
     }
 
-    // Rung 2: exact when cheap — the flat query's cost shape (largest
+    // Rung 2: whole-view Bonferroni bounds, on instances small enough that
+    // level-2 enumeration stays cheap; level 1 otherwise.
+    let level = if s.work.n_attackers() <= 2_000 { opts.bonferroni_level } else { 1 };
+    if let Some(answer) = decide(target, tau, sky_bounds_bonferroni(&s.work, level)?) {
+        stats.plan_bounds += 1;
+        return Ok(answer);
+    }
+
+    // Rung 3: exact when cheap — the flat query's cost shape (largest
     // component, summed lattice cost) refined with the ladder's own work
-    // limit. The component product only decreases, so the scan exits the
-    // moment it falls below τ — on low thresholds most objects are
-    // certified non-members after a handful of components.
+    // limit. After each solved factor, the factors solved so far times the
+    // remaining components' brackets enclose sky, so the scan exits as
+    // soon as that product decides either side of τ.
     let largest = plan::largest_component(&s.partition);
     let exact_work = plan::exact_cost(&s.partition);
     if largest <= opts.exact_component_limit && exact_work <= opts.exact_work_limit {
@@ -189,18 +193,17 @@ fn threshold_ladder_inner(
             .with_max_attackers(opts.exact_component_limit)
             .with_deadline_at(opts.deadline_at)
             .with_max_joints(opts.max_joints);
+        let n_groups = s.partition.n_groups();
         let mut sky = 1.0;
-        for g in 0..s.partition.n_groups() {
+        for g in 0..n_groups {
             let (factor, _) = component_factor(g, det, s, stats, cache)?;
             sky *= factor;
-            if sky < tau {
-                // Remaining factors are ≤ 1: membership is already refuted
-                // by the certified upper bound `sky_partial`.
-                return Ok(ThresholdAnswer {
-                    object: target,
-                    member: false,
-                    resolution: Resolution::Bounds(SkyBounds { lower: 0.0, upper: sky }),
-                });
+            if g + 1 < n_groups {
+                let rest = s.brackets[g + 1];
+                let bounds = SkyBounds { lower: sky * rest.lower, upper: sky * rest.upper };
+                if let Some(answer) = decide(target, tau, bounds) {
+                    return Ok(answer);
+                }
             }
         }
         return Ok(ThresholdAnswer {
@@ -210,13 +213,15 @@ fn threshold_ladder_inner(
         });
     }
 
-    // Rung 3: sequential test.
+    // Rung 4: sequential test.
     let sprt = opts
         .sprt
         .with_seed(opts.sprt.seed ^ target.0 as u64)
         .with_deadline_at(opts.deadline_at.or(opts.sprt.deadline_at));
-    let out = sky_threshold_test_view(&s.work, tau, sprt)?;
+    let out = sky_threshold_test_view_with(&s.work, tau, sprt, &mut s.sam)?;
     stats.samples_drawn += out.samples_used;
+    stats.coin_draws += out.coin_draws;
+    stats.attacker_checks += out.attacker_checks;
     match out.decision {
         ThresholdDecision::AtLeast => {
             stats.plan_sequential += 1;
@@ -235,7 +240,7 @@ fn threshold_ladder_inner(
             })
         }
         ThresholdDecision::Undecided => {
-            // Rung 4: fixed-budget estimate.
+            // Rung 5: fixed-budget estimate.
             stats.plan_fallback += 1;
             let sam = opts
                 .fallback
@@ -252,4 +257,28 @@ fn threshold_ladder_inner(
             })
         }
     }
+}
+
+/// Fill `s.brackets` with the suffix products of the per-component cheap
+/// brackets over `s.work`'s partition, and return the whole product.
+fn component_brackets(s: &mut SkyScratch) -> SkyBounds {
+    let n_groups = s.partition.n_groups();
+    s.brackets.clear();
+    s.brackets.resize(n_groups + 1, SkyBounds { lower: 1.0, upper: 1.0 });
+    for g in (0..n_groups).rev() {
+        let b = sky_bounds_cheap_subset(&s.work, s.partition.group(g).iter().copied());
+        let rest = s.brackets[g + 1];
+        s.brackets[g] = SkyBounds { lower: b.lower * rest.lower, upper: b.upper * rest.upper };
+    }
+    s.brackets[0]
+}
+
+/// The membership a certified enclosure decides, if it decides one.
+fn decide(target: ObjectId, tau: f64, bounds: SkyBounds) -> Option<ThresholdAnswer> {
+    let member = bounds.certainly_at_least(tau);
+    (member || bounds.certainly_below(tau)).then_some(ThresholdAnswer {
+        object: target,
+        member,
+        resolution: Resolution::Bounds(bounds),
+    })
 }

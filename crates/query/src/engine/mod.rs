@@ -254,11 +254,13 @@ pub struct PipelineStats {
     pub plan_exact: u64,
     /// Flat queries planned for sampling.
     pub plan_sample: u64,
-    /// Threshold objects resolved by certified bounds (rung 1).
+    /// Threshold objects resolved by certified bounds before the exact
+    /// rung: the product of per-component brackets (rung 1) or the
+    /// whole-view Bonferroni bounds (rung 2).
     pub plan_bounds: u64,
-    /// Threshold objects resolved by the sequential test (rung 3).
+    /// Threshold objects resolved by the sequential test (rung 4).
     pub plan_sequential: u64,
-    /// Threshold objects needing the fixed-budget fallback (rung 4).
+    /// Threshold objects needing the fixed-budget fallback (rung 5).
     pub plan_fallback: u64,
     /// Joint probabilities computed by the exact engine. Component-cache
     /// hits re-add the joints the cached solve computed, so this counter is
@@ -289,9 +291,11 @@ pub struct PipelineStats {
     pub store_records: u64,
     /// Worlds drawn by the samplers (fixed-budget and sequential).
     pub samples_drawn: u64,
-    /// Lazy coin draws performed by the fixed-budget sampler.
+    /// Coin draws of the Monte-Carlo kernel, counted per world, over the
+    /// fixed-budget sampler and the sequential test.
     pub coin_draws: u64,
-    /// Attacker checks performed by the fixed-budget sampler.
+    /// Attacker checks of the Monte-Carlo kernel, counted per world, over
+    /// the fixed-budget sampler and the sequential test.
     pub attacker_checks: u64,
 }
 

@@ -28,6 +28,7 @@ use presky_core::types::ObjectId;
 
 use presky_approx::sampler::SamScratch;
 use presky_exact::absorption::{absorb_into, AbsorbScratch, AbsorptionResult};
+use presky_exact::bounds::SkyBounds;
 use presky_exact::det::DetScratch;
 use presky_exact::partition::{partition_into, PartitionScratch};
 
@@ -53,6 +54,10 @@ pub struct SkyScratch {
     pub(crate) absorb: AbsorbScratch,
     pub(crate) absorbed: AbsorptionResult,
     pub(crate) partition: PartitionScratch,
+    /// The threshold ladder's per-component cheap brackets, as suffix
+    /// products: entry `g` encloses `Π_{h ≥ g}` of the component factors,
+    /// and a final `[1, 1]` closes the list.
+    pub(crate) brackets: Vec<SkyBounds>,
     pub(crate) det: DetScratch,
     pub(crate) sam: SamScratch,
 }
@@ -70,6 +75,7 @@ impl Default for SkyScratch {
             absorb: AbsorbScratch::default(),
             absorbed: AbsorptionResult::default(),
             partition: PartitionScratch::default(),
+            brackets: Vec::new(),
             det: DetScratch::default(),
             sam: SamScratch::default(),
         }

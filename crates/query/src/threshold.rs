@@ -8,19 +8,26 @@
 //! executor then resolves it through an escalation ladder of plan
 //! refinements, cheapest first:
 //!
-//! 1. **certified bounds** (`presky_exact::bounds`): the `O(n·d)` FKG /
-//!    Bonferroni enclosure decides most objects outright — in block-zipf
-//!    and real workloads the overwhelming majority of objects have an
-//!    upper bound far below any useful τ;
-//! 2. **exact solving** when the preprocessed instance's components are
-//!    small (same criterion as the adaptive query);
-//! 3. **Wald's sequential test** (`presky_approx::sprt`) — samples only
+//! 1. **per-component brackets** (`presky_exact::bounds`): the prepared
+//!    view's independence components (Theorem 4) each get the `O(n·d)`
+//!    FKG / min-complement bracket, and their product `Π lower_g ≤ sky ≤
+//!    Π upper_g` decides most objects outright — in block-zipf and real
+//!    workloads nearly every object's product lies far from any useful τ;
+//! 2. **whole-view Bonferroni bounds** (level 2 by default) for the
+//!    objects the brackets leave open;
+//! 3. **exact solving** when the preprocessed instance's components are
+//!    small (same criterion as the adaptive query), exiting as soon as the
+//!    factors solved so far times the remaining components' brackets
+//!    decide either side of τ;
+//! 4. **Wald's sequential test** (`presky_approx::sprt`) — samples only
 //!    until the evidence separates, escalating to
-//! 4. a fixed-budget estimate for the rare `Undecided` stragglers.
+//! 5. a fixed-budget estimate for the rare `Undecided` stragglers.
 //!
-//! The per-object [`Resolution`] records which rung decided it, so the
-//! harness can report how much work the pruning saves; the aggregated
-//! [`PipelineStats`] additionally carries rung counters and stage times.
+//! The per-object [`Resolution`] records which rung decided it (both
+//! bounds rungs and the exact rung's early exit report
+//! [`Resolution::Bounds`]), so the harness can report how much work the
+//! pruning saves; the aggregated [`PipelineStats`] additionally carries
+//! rung counters and stage times.
 
 use std::time::Instant;
 
@@ -71,17 +78,19 @@ pub struct ThresholdAnswer {
 #[derive(Debug, Clone, Copy)]
 #[non_exhaustive]
 pub struct ThresholdOptions {
-    /// Bonferroni depth for the certified bounds (level 1 is `O(n·d)`;
-    /// level 2 adds `O(n²·d)` worst case but is computed on the
-    /// *preprocessed* instance, which is far smaller).
+    /// Bonferroni depth of the whole-view bounds rung (level 1 is
+    /// `O(n·d)`; level 2 adds `O(n²·d)` worst case but is computed on the
+    /// *preprocessed* instance, which is far smaller). The per-component
+    /// bracket rung before it is always the `O(n·d)` cheap bracket.
     pub bonferroni_level: usize,
     /// Components up to this size are solved exactly.
     pub exact_component_limit: usize,
     /// Skip the exact rung when the summed per-component lattice work
     /// (`Σ 2^|component|`) exceeds this, even if each component is small —
     /// thousands of small components still add up. The exact rung also
-    /// exits early once the running component product drops below τ, so
-    /// this guard only bites on objects that would genuinely be expensive.
+    /// exits early once the factors solved so far times the remaining
+    /// components' brackets decide either side of τ, so this guard only
+    /// bites on objects that would genuinely be expensive.
     pub exact_work_limit: u64,
     /// Sequential-test configuration (margin, α, β, truncation).
     pub sprt: SprtOptions,
@@ -118,7 +127,7 @@ impl Default for ThresholdOptions {
 }
 
 impl ThresholdOptions {
-    /// Chainable: set the Bonferroni depth of the bounds rung.
+    /// Chainable: set the Bonferroni depth of the whole-view bounds rung.
     pub fn with_bonferroni_level(mut self, level: usize) -> Self {
         self.bonferroni_level = level;
         self
