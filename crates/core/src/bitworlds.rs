@@ -360,20 +360,24 @@ pub fn bernoulli_masks_wide(
 /// Reusable state of the wide kernel — the `[u64; LANE_WORDS]` counterpart
 /// of [`BlockScratch`], with the same lane-weighted telemetry semantics.
 ///
-/// Masks are materialised **per word**: word `w` of a coin's mask is only
-/// generated (and its demanding lanes only charged to `coin_draws`) once
-/// some lane of word `w` actually demands the coin. Since word `w`'s walk
-/// is bit-identical to the narrow kernel on block `superblock·LANE_WORDS +
-/// w`, the demand times coincide and both counters equal the narrow
-/// kernel's exactly — lazy and eager alike.
+/// A coin's mask is generated for **all** words at its first touch in a
+/// superblock, by the lock-step generator ([`bernoulli_masks_wide`]), but
+/// it is **charged per word**: word `w`'s demanding lanes enter
+/// `coin_draws` only once some lane of word `w` actually demands the coin.
+/// Since word `w`'s walk is bit-identical to the narrow kernel on block
+/// `superblock·LANE_WORDS + w`, the demand times coincide and both
+/// counters equal the narrow kernel's exactly — lazy and eager alike. A
+/// word generated but never charged is wasted; in exchange a coin costs
+/// one lock-step generation instead of one narrow generation per word.
 #[derive(Debug, Default)]
 pub struct WideScratch {
     thresholds: Vec<u64>,
     mask: Vec<[u64; LANE_WORDS]>,
-    /// Per-coin tag `epoch << 8 | ready`: `ready` is the bitmask of words
-    /// whose mask has been materialised and charged this epoch. The hot
-    /// path compares one tag against `epoch << 8 | ALL_WORDS` — a single
-    /// load, as cheap as the narrow kernel's epoch stamp.
+    /// Per-coin tag `epoch << 8 | charged`: a tag of this epoch means the
+    /// coin's mask is generated for every word, and `charged` is the
+    /// bitmask of words already charged to `coin_draws`. The hot path
+    /// compares one tag against `epoch << 8 | ALL_WORDS` — a single load,
+    /// as cheap as the narrow kernel's epoch stamp.
     tag: Vec<u64>,
     epoch: u64,
     /// Lane-weighted mask materialisations (see [`BlockScratch`]).
@@ -397,38 +401,22 @@ impl WideScratch {
         self.attacker_checks = 0;
     }
 
-    /// Materialise the words in `missing` (a word bitmask) of coin `k`'s
-    /// mask and charge `demand`'s lanes of those words to `coin_draws`.
-    ///
-    /// An all-words miss runs the lock-step wide generator; a partial miss
-    /// generates each word from its own narrow stream — bit-identical
-    /// output, but a word whose lanes are all dead costs nothing, exactly
-    /// like the narrow kernel skipping a block it never reaches.
+    /// Generate every word of coin `k`'s mask in this superblock.
     #[inline(always)]
-    fn materialise_words(
-        &mut self,
-        keys: &[BlockKey; LANE_WORDS],
-        k: usize,
-        missing: u64,
-        demand: &[u64; LANE_WORDS],
-    ) {
-        let t = self.thresholds[k];
-        match t {
-            0 => self.mask[k] = [0; LANE_WORDS],
-            CERTAIN => self.mask[k] = [u64::MAX; LANE_WORDS],
-            _ if missing == ALL_WORDS => {
-                self.mask[k] = bernoulli_masks_wide(keys, k as u64, t);
-            }
-            _ => {
-                for (w, key) in keys.iter().enumerate() {
-                    if missing >> w & 1 == 1 {
-                        self.mask[k][w] = bernoulli_mask(&mut key.stream(k as u64), t).0;
-                    }
-                }
-            }
-        }
+    fn generate(&mut self, keys: &[BlockKey; LANE_WORDS], k: usize) {
+        self.mask[k] = match self.thresholds[k] {
+            0 => [0; LANE_WORDS],
+            CERTAIN => [u64::MAX; LANE_WORDS],
+            t => bernoulli_masks_wide(keys, k as u64, t),
+        };
+    }
+
+    /// Charge `demand`'s lanes of the words in `words` (a word bitmask) to
+    /// `coin_draws`.
+    #[inline(always)]
+    fn charge(&mut self, words: u64, demand: &[u64; LANE_WORDS]) {
         for (w, d) in demand.iter().enumerate() {
-            if missing >> w & 1 == 1 {
+            if words >> w & 1 == 1 {
                 self.coin_draws += u64::from(d.count_ones());
             }
         }
@@ -460,7 +448,8 @@ fn survivors_wide_impl(
     if !lazy {
         for k in 0..view.n_coins() {
             s.tag[k] = full;
-            s.materialise_words(&keys, k, ALL_WORDS, lane_mask);
+            s.generate(&keys, k);
+            s.charge(ALL_WORDS, lane_mask);
         }
     }
     let mut live = *lane_mask;
@@ -473,12 +462,20 @@ fn survivors_wide_impl(
         let mut alive = live;
         for &k in view.attacker_coins(i) {
             let ku = k as usize;
-            if s.tag[ku] != full {
-                let ready = if s.tag[ku] >> 8 == s.epoch { s.tag[ku] & 0xff } else { 0 };
-                let missing = nonzero_words(&alive) & !ready;
+            let tag = s.tag[ku];
+            if tag != full {
+                let charged = if tag >> 8 == s.epoch {
+                    tag & 0xff
+                } else {
+                    s.generate(&keys, ku);
+                    0
+                };
+                // `alive` is non-empty here, so a first touch always finds
+                // a missing word and stores this epoch's tag.
+                let missing = nonzero_words(&alive) & !charged;
                 if missing != 0 {
-                    s.materialise_words(&keys, ku, missing, &alive);
-                    s.tag[ku] = (s.epoch << 8) | (ready | missing);
+                    s.charge(missing, &alive);
+                    s.tag[ku] = (s.epoch << 8) | charged | missing;
                 }
             }
             let m = &s.mask[ku];

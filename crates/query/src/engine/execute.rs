@@ -4,11 +4,14 @@
 //!
 //! * [`execute`] — the flat query: per-component inclusion–exclusion for
 //!   [`Plan::Exact`], the Monte-Carlo estimator for [`Plan::Sample`];
-//! * [`threshold_ladder`] — the threshold query's escalation ladder, a
-//!   sequence of progressively more expensive plan refinements over the
-//!   same prepared instance: the product of per-component cheap brackets →
-//!   whole-view Bonferroni bounds → exact with a bracketed early exit →
-//!   sequential test → fixed-budget estimate.
+//! * the threshold query's escalation ladder, a sequence of progressively
+//!   more expensive plan refinements. [`threshold_unabsorbed`] is rung 0:
+//!   the product of per-component cheap brackets over the pruned view,
+//!   taken between Prepare's two halves, before absorption.
+//!   [`threshold_ladder`] walks the rest over the prepared instance: the
+//!   same product over the reduced view's components → whole-view
+//!   Bonferroni bounds → exact with a bracketed early exit → sequential
+//!   test → fixed-budget estimate.
 //!
 //! Both record executor telemetry — joints computed, worlds sampled, coin
 //! draws, attacker checks, which ladder rung resolved each object — into
@@ -16,6 +19,7 @@
 
 use std::time::Instant;
 
+use presky_core::coins::CoinView;
 use presky_core::types::ObjectId;
 
 use presky_approx::sampler::sky_sam_view_with;
@@ -23,6 +27,7 @@ use presky_approx::sprt::{sky_threshold_test_view_with, ThresholdDecision};
 use presky_exact::bounds::{sky_bounds_bonferroni, sky_bounds_cheap_subset, SkyBounds};
 use presky_exact::cache::{CacheEntry, ComponentCache};
 use presky_exact::det::{sky_det_view_with, DetOptions};
+use presky_exact::partition::{partition_into, PartitionScratch};
 use presky_exact::signature::component_signature;
 
 use super::plan::{self, Plan, PlanReason};
@@ -139,9 +144,38 @@ fn component_factor(
     Ok((out.sky, false))
 }
 
-/// The escalation ladder on the prepared instance — rungs are plan
+/// Rung 0 of the threshold ladder, on the pruned but un-absorbed `s.view`
+/// (the caller has run [`super::prepare::prune`] and handled its
+/// short-circuit): partition `s.view` into `s.partition` and decide from
+/// the product of its components' cheap brackets.
+///
+/// Absorption never changes `sky` (Theorem 3) and the components of any
+/// view are independent (Theorem 4), so this product is as certified as
+/// rung 1's over the reduced view; it may differ in value, since an
+/// absorbed attacker can join components the reduced view keeps apart.
+/// `None` leaves the target to [`super::prepare::reduce`] and
+/// [`threshold_ladder`].
+pub(crate) fn threshold_unabsorbed(
+    target: ObjectId,
+    tau: f64,
+    s: &mut SkyScratch,
+    stats: &mut PipelineStats,
+) -> Option<ThresholdAnswer> {
+    let t0 = Instant::now();
+    partition_into(&s.view, &mut s.partition);
+    let answer = decide(target, tau, component_brackets(&s.view, &s.partition, &mut s.brackets));
+    if answer.is_some() {
+        stats.plan_bounds += 1;
+        stats.plan_bounds_unabsorbed += 1;
+    }
+    stats.execute_nanos += t0.elapsed().as_nanos() as u64;
+    answer
+}
+
+/// The escalation ladder on the prepared instance — rungs 1–5 are plan
 /// refinements over one Prepare pass, cheapest first. The caller has
-/// already run [`super::prepare::prepare`] (and handled its short-circuit).
+/// already run both halves of Prepare (and handled the short-circuit) and
+/// rung 0 has left the target open.
 pub(crate) fn threshold_ladder(
     target: ObjectId,
     tau: f64,
@@ -164,10 +198,14 @@ fn threshold_ladder_inner(
     stats: &mut PipelineStats,
     cache: Option<CacheScope<'_>>,
 ) -> Result<ThresholdAnswer> {
-    // Rung 1: the product of per-component cheap brackets. The components
-    // are independent (Theorem 4), so the product encloses sky at O(n·d)
-    // cost, with no joint probability computed.
-    if let Some(answer) = decide(target, tau, component_brackets(s)) {
+    // Rung 1: the product of per-component cheap brackets over the reduced
+    // view. The components are independent (Theorem 4), so the product
+    // encloses sky at O(n·d) cost, with no joint probability computed; it
+    // can decide where rung 0's product did not, since absorption drops
+    // attackers and splits components.
+    if let Some(answer) =
+        decide(target, tau, component_brackets(&s.work, &s.partition, &mut s.brackets))
+    {
         stats.plan_bounds += 1;
         return Ok(answer);
     }
@@ -259,18 +297,23 @@ fn threshold_ladder_inner(
     }
 }
 
-/// Fill `s.brackets` with the suffix products of the per-component cheap
-/// brackets over `s.work`'s partition, and return the whole product.
-fn component_brackets(s: &mut SkyScratch) -> SkyBounds {
-    let n_groups = s.partition.n_groups();
-    s.brackets.clear();
-    s.brackets.resize(n_groups + 1, SkyBounds { lower: 1.0, upper: 1.0 });
+/// Fill `brackets` with the suffix products of the per-component cheap
+/// brackets over `view`'s partition `groups`, and return the whole
+/// product.
+fn component_brackets(
+    view: &CoinView,
+    groups: &PartitionScratch,
+    brackets: &mut Vec<SkyBounds>,
+) -> SkyBounds {
+    let n_groups = groups.n_groups();
+    brackets.clear();
+    brackets.resize(n_groups + 1, SkyBounds { lower: 1.0, upper: 1.0 });
     for g in (0..n_groups).rev() {
-        let b = sky_bounds_cheap_subset(&s.work, s.partition.group(g).iter().copied());
-        let rest = s.brackets[g + 1];
-        s.brackets[g] = SkyBounds { lower: b.lower * rest.lower, upper: b.upper * rest.upper };
+        let b = sky_bounds_cheap_subset(view, groups.group(g).iter().copied());
+        let rest = brackets[g + 1];
+        brackets[g] = SkyBounds { lower: b.lower * rest.lower, upper: b.upper * rest.upper };
     }
-    s.brackets[0]
+    brackets[0]
 }
 
 /// The membership a certified enclosure decides, if it decides one.

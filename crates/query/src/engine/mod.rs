@@ -223,6 +223,12 @@ pub(crate) fn hist_bucket(len: usize) -> usize {
 /// [`PipelineStats::merge`] folds per-worker stats together, which is how
 /// the parallel batch driver aggregates. `largest_component` merges by
 /// maximum; everything else is additive.
+///
+/// `absorbed`, `survivors`, `components`, `component_hist` and
+/// `largest_component` describe only the objects that went through
+/// absorption: a threshold object decided before absorption
+/// (`plan_bounds_unabsorbed`) enters `objects`, `attackers_in` and
+/// `pruned_impossible` but none of them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipelineStats {
     /// Objects that entered the pipeline.
@@ -235,19 +241,21 @@ pub struct PipelineStats {
     pub pruned_impossible: u64,
     /// Attackers removed by absorption.
     pub absorbed: u64,
-    /// Attackers surviving preparation.
+    /// Attackers surviving absorption.
     pub survivors: u64,
-    /// Independent components over all prepared objects.
+    /// Independent components over all absorbed objects.
     pub components: u64,
-    /// Largest component seen (merged by max).
+    /// Largest component of an absorbed object (merged by max).
     pub largest_component: u64,
-    /// Component-size histogram; bucket edges in [`HIST_EDGES`].
+    /// Component-size histogram over absorbed objects; bucket edges in
+    /// [`HIST_EDGES`].
     pub component_hist: [u64; HIST_BUCKETS],
     /// Wall-time of the Prepare stage (view assembly included), in ns.
     pub prepare_nanos: u64,
     /// Wall-time of the Plan stage, in ns.
     pub plan_nanos: u64,
-    /// Wall-time of the Execute stage, in ns.
+    /// Wall-time of the Execute stage, in ns. For threshold queries it
+    /// includes rung 0's partition and bracket pass before absorption.
     pub execute_nanos: u64,
     /// Flat queries planned exact; for threshold queries, objects on which
     /// the exact rung engaged (including certified early exits).
@@ -255,9 +263,14 @@ pub struct PipelineStats {
     /// Flat queries planned for sampling.
     pub plan_sample: u64,
     /// Threshold objects resolved by certified bounds before the exact
-    /// rung: the product of per-component brackets (rung 1) or the
-    /// whole-view Bonferroni bounds (rung 2).
+    /// rung: the product of per-component brackets before absorption
+    /// (rung 0) or after it (rung 1), or the whole-view Bonferroni bounds
+    /// (rung 2).
     pub plan_bounds: u64,
+    /// The subset of `plan_bounds` decided by rung 0, on the pruned view
+    /// before absorption: these objects skip absorption, restriction and
+    /// the partition of the reduced view.
+    pub plan_bounds_unabsorbed: u64,
     /// Threshold objects resolved by the sequential test (rung 4).
     pub plan_sequential: u64,
     /// Threshold objects needing the fixed-budget fallback (rung 5).
@@ -320,6 +333,7 @@ impl PipelineStats {
         self.plan_exact += other.plan_exact;
         self.plan_sample += other.plan_sample;
         self.plan_bounds += other.plan_bounds;
+        self.plan_bounds_unabsorbed += other.plan_bounds_unabsorbed;
         self.plan_sequential += other.plan_sequential;
         self.plan_fallback += other.plan_fallback;
         self.joints_computed += other.joints_computed;
@@ -382,10 +396,11 @@ impl fmt::Display for PipelineStats {
         writeln!(f)?;
         writeln!(
             f,
-            "plan:     {} exact, {} sampled, {} bounds, {} sequential, {} fallback",
+            "plan:     {} exact, {} sampled, {} bounds ({} before absorption), {} sequential, {} fallback",
             self.plan_exact,
             self.plan_sample,
             self.plan_bounds,
+            self.plan_bounds_unabsorbed,
             self.plan_sequential,
             self.plan_fallback,
         )?;
@@ -535,8 +550,10 @@ pub(crate) fn solve_batch_one_explained<M: PreferenceModel>(
     solve_view_explained(target, algo, budget, prep, scratch, stats, cache)
 }
 
-/// Decide `sky(target) ≥ τ` on a preassembled `s.view`: Prepare with the
-/// default options, then the escalation ladder as plan refinements.
+/// Decide `sky(target) ≥ τ` on a preassembled `s.view`: prune, try the
+/// bracket product over the pruned view's components (rung 0), and only
+/// if that leaves the target open, reduce with the default options and
+/// walk the rest of the escalation ladder as plan refinements.
 pub(crate) fn threshold_view(
     target: ObjectId,
     tau: f64,
@@ -545,13 +562,17 @@ pub(crate) fn threshold_view(
     stats: &mut PipelineStats,
     cache: Option<CacheScope<'_>>,
 ) -> Result<ThresholdAnswer> {
-    if let Some(short) = prepare::prepare(target, PrepareOptions::default(), s, stats) {
+    if let Some(short) = prepare::prune(target, s, stats) {
         return Ok(ThresholdAnswer {
             object: target,
             member: short.sky >= tau,
             resolution: Resolution::Exact(short.sky),
         });
     }
+    if let Some(answer) = execute::threshold_unabsorbed(target, tau, s, stats) {
+        return Ok(answer);
+    }
+    prepare::reduce(PrepareOptions::default(), s, stats);
     let cache = if opts.component_cache { cache } else { None };
     execute::threshold_ladder(target, tau, opts, s, stats, cache)
 }
@@ -683,6 +704,8 @@ mod tests {
         b.cache_hits = 3;
         b.cache_insertions = 1;
         b.cache_bytes = 120;
+        b.plan_bounds = 3;
+        b.plan_bounds_unabsorbed = 2;
         a.merge(&b);
         assert_eq!(a.objects, 3);
         assert_eq!(a.largest_component, 9);
@@ -692,6 +715,7 @@ mod tests {
         assert_eq!(a.cache_hits, 3);
         assert_eq!(a.cache_insertions, 1);
         assert_eq!(a.cache_bytes, 120);
+        assert_eq!((a.plan_bounds, a.plan_bounds_unabsorbed), (3, 2));
         assert!((a.cache_hit_rate() - 0.75).abs() < 1e-12);
     }
 

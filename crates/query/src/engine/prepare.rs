@@ -19,6 +19,11 @@
 //! ablations and raw-algorithm baselines); the default runs everything,
 //! which is the configuration every query entry point uses. Every run
 //! records its reductions and wall-time into a [`PipelineStats`].
+//!
+//! The chain is two halves: [`prune`] (steps 1–2) and [`reduce`] (steps
+//! 3–5). Flat queries run them back to back through [`prepare`]; the
+//! threshold query runs its pre-absorption bracket rung between them, so
+//! a target that rung decides never pays for absorption.
 
 use std::time::Instant;
 
@@ -147,16 +152,31 @@ impl PrepareOptions {
     }
 }
 
-/// Run the Prepare stage on the assembled `s.view`.
+/// Run the Prepare stage on the assembled `s.view`: [`prune`], then
+/// [`reduce`] unless the short-circuit fired.
 ///
 /// On completion, `s.work` holds the reduced coin-compacted instance and
 /// `s.partition` its component structure. Returns `Some(result)` when the
 /// certain-attacker short-circuit fired (nothing to plan or execute).
 /// Every entry point — single-target, batch, threshold — funnels through
-/// this function, which is what makes their outputs bit-identical.
+/// these two halves, which is what makes their outputs bit-identical.
 pub(crate) fn prepare(
     object: ObjectId,
     opts: PrepareOptions,
+    s: &mut SkyScratch,
+    stats: &mut PipelineStats,
+) -> Option<SkyResult> {
+    let short = prune(object, s, stats);
+    if short.is_none() {
+        reduce(opts, s, stats);
+    }
+    short
+}
+
+/// The pruning half of Prepare, in place on `s.view`: the certain-attacker
+/// short-circuit (returned as `Some(result)`) and impossible-coin pruning.
+pub(crate) fn prune(
+    object: ObjectId,
     s: &mut SkyScratch,
     stats: &mut PipelineStats,
 ) -> Option<SkyResult> {
@@ -173,6 +193,15 @@ pub(crate) fn prepare(
         return Some(SkyResult { object, sky: 0.0, exact: true });
     }
     stats.pruned_impossible += s.view.prune_impossible() as u64;
+    stats.prepare_nanos += t0.elapsed().as_nanos() as u64;
+    None
+}
+
+/// The reducing half of Prepare on the pruned `s.view`: absorption,
+/// coin-compacting restriction into `s.work`, and the partition of
+/// `s.work` into `s.partition`.
+pub(crate) fn reduce(opts: PrepareOptions, s: &mut SkyScratch, stats: &mut PipelineStats) {
+    let t0 = Instant::now();
     if opts.absorption {
         absorb_into(&s.view, &mut s.absorb, &mut s.absorbed);
     } else {
@@ -198,5 +227,4 @@ pub(crate) fn prepare(
     }
     stats.largest_component = stats.largest_component.max(largest as u64);
     stats.prepare_nanos += t0.elapsed().as_nanos() as u64;
-    None
 }

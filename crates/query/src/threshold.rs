@@ -4,15 +4,22 @@
 //! [`crate::prob_skyline::probabilistic_skyline`] computes a full
 //! probability for every object; but the probabilistic-skyline *answer*
 //! needs only the comparison `sky(O) ≥ τ`. Each object runs through the
-//! shared [`crate::engine`] Prepare stage once, and the engine's threshold
-//! executor then resolves it through an escalation ladder of plan
+//! shared [`crate::engine`] Prepare stage at most once, and the engine's
+//! threshold executor resolves it through an escalation ladder of plan
 //! refinements, cheapest first:
 //!
-//! 1. **per-component brackets** (`presky_exact::bounds`): the prepared
-//!    view's independence components (Theorem 4) each get the `O(n·d)`
-//!    FKG / min-complement bracket, and their product `Π lower_g ≤ sky ≤
-//!    Π upper_g` decides most objects outright — in block-zipf and real
-//!    workloads nearly every object's product lies far from any useful τ;
+//! 0. **per-component brackets before absorption** (`presky_exact::bounds`):
+//!    after Prepare's pruning half (certain-attacker short-circuit,
+//!    impossible-coin pruning), the pruned view's independence components
+//!    (Theorem 4) each get the `O(n·d)` FKG / min-complement bracket, and
+//!    their product `Π lower_g ≤ sky ≤ Π upper_g` decides most objects
+//!    outright — in block-zipf and real workloads nearly every object's
+//!    product lies far from any useful τ. Absorption keeps `sky` (Theorem
+//!    3), so the product is certified without it, and a decided object
+//!    never pays for absorption;
+//! 1. **per-component brackets after absorption**: the same product over
+//!    the prepared (absorbed, restricted, re-partitioned) view, whose
+//!    components are smaller;
 //! 2. **whole-view Bonferroni bounds** (level 2 by default) for the
 //!    objects the brackets leave open;
 //! 3. **exact solving** when the preprocessed instance's components are
@@ -23,7 +30,7 @@
 //!    until the evidence separates, escalating to
 //! 5. a fixed-budget estimate for the rare `Undecided` stragglers.
 //!
-//! The per-object [`Resolution`] records which rung decided it (both
+//! The per-object [`Resolution`] records which rung decided it (the three
 //! bounds rungs and the exact rung's early exit report
 //! [`Resolution::Bounds`]), so the harness can report how much work the
 //! pruning saves; the aggregated [`PipelineStats`] additionally carries
@@ -81,7 +88,7 @@ pub struct ThresholdOptions {
     /// Bonferroni depth of the whole-view bounds rung (level 1 is
     /// `O(n·d)`; level 2 adds `O(n²·d)` worst case but is computed on the
     /// *preprocessed* instance, which is far smaller). The per-component
-    /// bracket rung before it is always the `O(n·d)` cheap bracket.
+    /// bracket rungs before it are always the `O(n·d)` cheap bracket.
     pub bonferroni_level: usize,
     /// Components up to this size are solved exactly.
     pub exact_component_limit: usize,
@@ -320,10 +327,16 @@ mod tests {
         // τ = 0.9: every object's cheap upper bound is below, so all five
         // must resolve at the bounds rung... upper = min(1 − Pr(e_i)); for
         // O that is 0.5 < 0.9 ✓. For others likewise under these ½ prefs.
-        let answers = threshold_skyline(&t, &p, 0.9, ThresholdOptions::default()).unwrap();
+        let (answers, pipeline) =
+            threshold_skyline_with_stats(&t, &p, 0.9, ThresholdOptions::default()).unwrap();
         let stats = resolution_stats(&answers);
         assert_eq!(stats.by_bounds, answers.len(), "{stats:?}");
         assert!(answers.iter().all(|a| !a.member));
+        // The product over each pruned view already decides, so rung 0
+        // settles all five before absorption, restriction or the reduced
+        // partition.
+        assert_eq!(pipeline.plan_bounds_unabsorbed as usize, answers.len(), "{pipeline}");
+        assert_eq!((pipeline.absorbed, pipeline.survivors, pipeline.components), (0, 0, 0));
     }
 
     #[test]
@@ -414,5 +427,6 @@ mod tests {
             pipeline.objects,
             "{pipeline}"
         );
+        assert!(pipeline.plan_bounds_unabsorbed <= pipeline.plan_bounds, "{pipeline}");
     }
 }

@@ -105,13 +105,33 @@ fn top_k_skyline<M: PreferenceModel + Sync>(
     Ok(out.results.into_iter().map(|r| r.expect("unlimited budget")).collect())
 }
 
-fn decode_row(mut idx: usize, d: usize) -> Vec<u32> {
+fn decode_row(mut idx: usize, d: usize, values: usize) -> Vec<u32> {
     let mut row = Vec::with_capacity(d);
     for _ in 0..d {
-        row.push((idx % 4) as u32);
-        idx /= 4;
+        row.push((idx % values) as u32);
+        idx /= values;
     }
     row
+}
+
+/// Simplex preferences over `values` values in each of `d` dimensions,
+/// one `(forward, backward)` draw per value pair.
+fn simplex_prefs(d: usize, values: u32, pair_probs: Vec<(f64, f64)>) -> TablePreferences {
+    let mut prefs = TablePreferences::new();
+    let mut it = pair_probs.into_iter();
+    for dim in 0..d {
+        for a in 0..values {
+            for b in (a + 1)..values {
+                let (mut u, mut v) = it.next().unwrap_or((0.5, 0.5));
+                if u + v > 1.0 {
+                    u = 1.0 - u;
+                    v = 1.0 - v;
+                }
+                prefs.set(DimId::from(dim), ValueId(a), ValueId(b), u, v).expect("simplex pair");
+            }
+        }
+    }
+    prefs
 }
 
 /// Distinct-row tables with simplex preferences over a small value space.
@@ -124,27 +144,31 @@ fn instance() -> impl Strategy<Value = (Table, TablePreferences)> {
                 proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 6 * d),
             )
                 .prop_map(move |(idxs, pair_probs)| {
-                    let rows: Vec<Vec<u32>> = idxs.iter().map(|&i| decode_row(i, d)).collect();
+                    let rows: Vec<Vec<u32>> = idxs.iter().map(|&i| decode_row(i, d, 4)).collect();
                     let table = Table::from_rows_raw(d, &rows).expect("valid rows");
-                    let mut prefs = TablePreferences::new();
-                    let mut it = pair_probs.into_iter();
-                    for dim in 0..d {
-                        for a in 0u32..4 {
-                            for b in (a + 1)..4 {
-                                let (mut u, mut v) = it.next().unwrap_or((0.5, 0.5));
-                                if u + v > 1.0 {
-                                    u = 1.0 - u;
-                                    v = 1.0 - v;
-                                }
-                                prefs
-                                    .set(DimId::from(dim), ValueId(a), ValueId(b), u, v)
-                                    .expect("simplex pair");
-                            }
-                        }
-                    }
-                    (table, prefs)
+                    (table, simplex_prefs(d, 4, pair_probs))
                 })
         })
+    })
+}
+
+/// Larger distinct-row tables — 20 to 40 rows over 5 dimensions of 3
+/// values each — with simplex preferences: enough attackers per target
+/// that absorption leaves multi-attacker components, whose brackets stay
+/// open around the target's sky value, so the ladder's sampling rungs
+/// engage.
+fn sampling_instance() -> impl Strategy<Value = (Table, TablePreferences)> {
+    const D: usize = 5;
+    (20usize..=40).prop_flat_map(|n| {
+        (
+            proptest::collection::btree_set(0..3usize.pow(D as u32), n),
+            proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 3 * D),
+        )
+            .prop_map(|(idxs, pair_probs)| {
+                let rows: Vec<Vec<u32>> = idxs.iter().map(|&i| decode_row(i, D, 3)).collect();
+                let table = Table::from_rows_raw(D, &rows).expect("valid rows");
+                (table, simplex_prefs(D, 3, pair_probs))
+            })
     })
 }
 
@@ -247,6 +271,58 @@ fn threshold_one_reference(
             }
         }
     }
+}
+
+/// Decide one target through [`threshold_one`] and its reference ladder
+/// and check the contract between them: the bracket rungs and the
+/// bracketed early exit may certify a target sooner, so resolutions may
+/// differ, but a certified reference membership may not; Exact values are
+/// bit-identical; and a sampled answer appears only where the reference
+/// sampled the same worlds to the same result. Returns the engine's
+/// answer.
+fn check_ladder_contract(
+    table: &Table,
+    prefs: &TablePreferences,
+    target: ObjectId,
+    tau: f64,
+    opts: ThresholdOptions,
+) -> Result<ThresholdAnswer, TestCaseError> {
+    let got = threshold_one(table, prefs, target, tau, opts).unwrap();
+    let reference = threshold_one_reference(table, prefs, target, tau, opts);
+    let i = target.0;
+    prop_assert_eq!(got.object, reference.object);
+    if matches!(reference.resolution, Resolution::Bounds(_) | Resolution::Exact(_)) {
+        prop_assert_eq!(
+            got.member,
+            reference.member,
+            "object {}: {:?} vs reference {:?} under {:?}",
+            i,
+            got,
+            reference,
+            opts
+        );
+    }
+    match (got.resolution, reference.resolution) {
+        (Resolution::Exact(a), Resolution::Exact(b)) => {
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "object {}: {} vs {}", i, a, b);
+        }
+        (
+            Resolution::Sequential { samples_used: a },
+            Resolution::Sequential { samples_used: b },
+        ) => {
+            prop_assert_eq!(a, b, "object {}", i);
+            prop_assert_eq!(got.member, reference.member, "object {}", i);
+        }
+        (Resolution::Estimated(a), Resolution::Estimated(b)) => {
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "object {}: {} vs {}", i, a, b);
+            prop_assert_eq!(got.member, reference.member, "object {}", i);
+        }
+        (Resolution::Sequential { .. } | Resolution::Estimated(_), _) => {
+            prop_assert!(false, "object {}: {:?} where the reference gave {:?}", i, got, reference);
+        }
+        _ => {}
+    }
+    Ok(got)
 }
 
 /// The pre-engine two-phase top-k, rebuilt from the public entry points:
@@ -459,60 +535,56 @@ proptest! {
     #[test]
     fn threshold_one_keeps_the_reference_ladder_contract(
         (table, prefs) in instance(),
+        (big, big_prefs) in sampling_instance(),
         tau in 0.05f64..0.95,
-        force_sampling_rungs in any::<bool>(),
+        offset in -0.04f64..0.04,
+        arm in 0usize..3,
     ) {
-        // Default options exercise the bounds and exact rungs; zeroing the
-        // exact budgets forces every bounds-inconclusive object down to
-        // the sequential test and the fixed-budget fallback, covering the
-        // sampling rungs (and their per-target seed derivation) too. On
-        // instances this small, whole-view level-2 Bonferroni decides
-        // nearly every object, so that arm drops to level 1 and truncates
-        // the test at 512 worlds to reach both sampling rungs.
-        let opts = if force_sampling_rungs {
-            ThresholdOptions::default()
-                .with_exact_component_limit(0)
-                .with_exact_work_limit(0)
-                .with_bonferroni_level(1)
-                .with_sprt(SprtOptions::default().with_max_samples(512))
+        // Arm 0: default options exercise the bounds and exact rungs.
+        // Arms 1 and 2 zero the exact budgets, which sends every
+        // bounds-inconclusive object down to the sequential test and the
+        // fixed-budget fallback, covering the sampling rungs (and their
+        // per-target seed derivation) too; whole-view level-2 Bonferroni
+        // would decide nearly every object, so they drop to level 1 and
+        // truncate the test at 512 worlds to reach both sampling rungs.
+        let sampling = ThresholdOptions::default()
+            .with_exact_component_limit(0)
+            .with_exact_work_limit(0)
+            .with_bonferroni_level(1)
+            .with_sprt(SprtOptions::default().with_max_samples(512));
+        if arm < 2 {
+            let opts = if arm == 0 { ThresholdOptions::default() } else { sampling };
+            for i in 0..table.len() {
+                check_ladder_contract(&table, &prefs, ObjectId::from(i), tau, opts)?;
+            }
         } else {
-            ThresholdOptions::default()
-        };
-        for i in 0..table.len() {
-            let target = ObjectId::from(i);
-            let got = threshold_one(&table, &prefs, target, tau, opts).unwrap();
-            let reference = threshold_one_reference(&table, &prefs, target, tau, opts);
-            prop_assert_eq!(got.object, reference.object);
-            // The bracket rung and the bracketed early exit may certify a
-            // target sooner, so resolutions may differ; a certified
-            // membership may not.
-            if matches!(reference.resolution, Resolution::Bounds(_) | Resolution::Exact(_)) {
-                prop_assert_eq!(got.member, reference.member,
-                    "object {}: {:?} vs reference {:?} under {:?}", i, got, reference, opts);
+            // Arm 2: on instances of at most 7 rows the brackets decide
+            // nearly every object before the sampling rungs, so this arm
+            // runs the larger tables with each target's τ placed near its
+            // own sky value (a 2 000-world estimate, shifted by `offset`),
+            // where no bracket can separate, and requires that at least a
+            // quarter of the objects reach the sequential test (rung 4).
+            let mut sampled = 0usize;
+            for i in 0..big.len() {
+                let target = ObjectId::from(i);
+                let estimate = sky_one(
+                    &big,
+                    &big_prefs,
+                    target,
+                    Algorithm::Sampling(SamOptions::with_samples(2_000, 17)),
+                )
+                .unwrap()
+                .sky;
+                let tau = (estimate + offset).clamp(0.01, 0.99);
+                let got = check_ladder_contract(&big, &big_prefs, target, tau, sampling)?;
+                if matches!(got.resolution, Resolution::Sequential { .. } | Resolution::Estimated(_)) {
+                    sampled += 1;
+                }
             }
-            match (got.resolution, reference.resolution) {
-                (Resolution::Exact(a), Resolution::Exact(b)) => {
-                    prop_assert_eq!(a.to_bits(), b.to_bits(), "object {}: {} vs {}", i, a, b);
-                }
-                // A sampled answer only where the reference sampled the same
-                // worlds to the same result.
-                (
-                    Resolution::Sequential { samples_used: a },
-                    Resolution::Sequential { samples_used: b },
-                ) => {
-                    prop_assert_eq!(a, b, "object {}", i);
-                    prop_assert_eq!(got.member, reference.member, "object {}", i);
-                }
-                (Resolution::Estimated(a), Resolution::Estimated(b)) => {
-                    prop_assert_eq!(a.to_bits(), b.to_bits(), "object {}: {} vs {}", i, a, b);
-                    prop_assert_eq!(got.member, reference.member, "object {}", i);
-                }
-                (Resolution::Sequential { .. } | Resolution::Estimated(_), _) => {
-                    prop_assert!(false, "object {}: {:?} where the reference gave {:?}",
-                        i, got, reference);
-                }
-                _ => {}
-            }
+            prop_assert!(
+                4 * sampled >= big.len(),
+                "only {} of {} objects reached the sequential test", sampled, big.len()
+            );
         }
     }
 
@@ -551,6 +623,79 @@ proptest! {
                 // (guarded by `ladder_agrees_with_exact_memberships`).
                 _ => {}
             }
+        }
+    }
+
+    #[test]
+    fn unabsorbed_bracket_product_encloses_the_prepared_value(
+        (table, prefs) in instance(),
+        touched in proptest::collection::vec((0usize..3, 0u32..4, 0u32..4), 0..4),
+        probs in proptest::collection::vec((0.05f64..0.45, 0.05f64..0.45), 4),
+        tau in 0.05f64..0.95,
+    ) {
+        // Rung 0 of the threshold ladder decides from the bracket product
+        // over the components of the pruned view *before* absorption.
+        // Absorption keeps sky (Theorem 3) and components multiply
+        // (Theorem 4), so that product must enclose the exact value of the
+        // prepared (absorbed, restricted) view; wherever it decides a
+        // membership, possible-world enumeration must agree, and the
+        // engine must report exactly that bracket. Tenant-style overlays
+        // rewrite some pair probabilities, as the resident service's
+        // tenants do.
+        use presky_core::coins::CoinView;
+        use presky_core::preference::{DeltaOverlay, PrefDelta};
+        use presky_exact::absorption::absorb;
+        use presky_exact::bounds::{sky_bounds_cheap_subset, SkyBounds};
+        use presky_exact::det::{sky_det_view, DetOptions};
+        use presky_exact::partition::partition;
+
+        let d = table.dimensionality();
+        let mut delta = PrefDelta::new();
+        for (i, &(dim, a, b)) in touched.iter().enumerate() {
+            if a == b {
+                continue;
+            }
+            let (f, r) = probs[i % probs.len()];
+            delta = delta
+                .with_pair(DimId::from(dim % d), ValueId(a), ValueId(b), f, r)
+                .expect("interior probabilities always satisfy the simplex");
+        }
+        let overlay = DeltaOverlay::new(&delta, &prefs);
+        // Enumerated once, at the first decided target, and only on tables
+        // with at most 10 uncertain pairs (at most 3^10 worlds).
+        let mut oracle = None;
+        for i in 0..table.len() {
+            let target = ObjectId::from(i);
+            let mut view = CoinView::build(&table, &overlay, target).unwrap();
+            if view.has_certain_attacker() {
+                continue;
+            }
+            view.prune_impossible();
+            // The engine's suffix-product order, so the bits match.
+            let mut product = SkyBounds { lower: 1.0, upper: 1.0 };
+            for g in partition(&view).iter().rev() {
+                let b = sky_bounds_cheap_subset(&view, g.iter().copied());
+                product = SkyBounds {
+                    lower: b.lower * product.lower,
+                    upper: b.upper * product.upper,
+                };
+            }
+            let prepared = view.restrict(&absorb(&view).kept);
+            let exact = sky_det_view(&prepared, DetOptions::default()).unwrap().sky;
+            prop_assert!(product.lower <= exact + 1e-9 && exact <= product.upper + 1e-9,
+                "object {}: prepared sky {} outside [{}, {}]",
+                i, exact, product.lower, product.upper);
+            if !(product.certainly_at_least(tau) || product.certainly_below(tau)) {
+                continue;
+            }
+            if let Ok(oracle) = oracle.get_or_insert_with(|| all_sky_naive(&table, &overlay, 10)) {
+                prop_assert_eq!(product.certainly_at_least(tau), oracle[i] >= tau,
+                    "object {}: oracle sky {} vs tau {} under [{}, {}]",
+                    i, oracle[i], tau, product.lower, product.upper);
+            }
+            let got = threshold_one(&table, &overlay, target, tau, ThresholdOptions::default())
+                .unwrap();
+            prop_assert_eq!(got.resolution, Resolution::Bounds(product), "object {}", i);
         }
     }
 
@@ -741,7 +886,7 @@ fn naive_certain_matches_bnl_on_transitive_worlds() {
         while rows.len() < 8 {
             rows.insert((next() % 64) as usize);
         }
-        let decoded: Vec<Vec<u32>> = rows.iter().map(|&i| decode_row(i, 3)).collect();
+        let decoded: Vec<Vec<u32>> = rows.iter().map(|&i| decode_row(i, 3, 4)).collect();
         let table = Table::from_rows_raw(3, &decoded).unwrap();
         use presky_query::certain::skyline_naive_certain;
         assert_eq!(
@@ -767,7 +912,7 @@ fn certain_world_skyline_is_never_empty() {
         while rows.len() < 9 {
             rows.insert((next() % 64) as usize);
         }
-        let decoded: Vec<Vec<u32>> = rows.iter().map(|&i| decode_row(i, 3)).collect();
+        let decoded: Vec<Vec<u32>> = rows.iter().map(|&i| decode_row(i, 3, 4)).collect();
         let table = Table::from_rows_raw(3, &decoded).unwrap();
         let order = presky_core::preference::DeterministicOrder::ascending();
         let sky = skyline_bnl(&table, &Degenerate(order));
