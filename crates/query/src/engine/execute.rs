@@ -11,7 +11,10 @@
 //!   [`threshold_ladder`] walks the rest over the prepared instance: the
 //!   same product over the reduced view's components → whole-view
 //!   Bonferroni bounds → exact with a bracketed early exit → sequential
-//!   test → fixed-budget estimate.
+//!   test → fixed-budget estimate. The exact rung engages where
+//!   [`plan::plans_exact`] would plan the flat adaptive query exact, and
+//!   the request's [`EngineBudget`] is stamped into the exact and sampling
+//!   rungs as [`plan::plan`] stamps it into the flat query's engines.
 //!
 //! Both record executor telemetry — joints computed, worlds sampled, coin
 //! draws, attacker checks, which ladder rung resolved each object — into
@@ -32,9 +35,9 @@ use presky_exact::signature::component_signature;
 
 use super::plan::{self, Plan, PlanReason};
 use super::prepare::SkyScratch;
-use super::{CacheScope, PipelineStats};
+use super::{CacheScope, EngineBudget, PipelineStats};
 use crate::error::Result;
-use crate::prob_skyline::SkyResult;
+use crate::prob_skyline::{Algorithm, SkyResult};
 use crate::threshold::{Resolution, ThresholdAnswer, ThresholdOptions};
 
 /// Execute `plan` on the prepared instance in `s`, annotating the plan's
@@ -180,12 +183,13 @@ pub(crate) fn threshold_ladder(
     target: ObjectId,
     tau: f64,
     opts: ThresholdOptions,
+    budget: EngineBudget,
     s: &mut SkyScratch,
     stats: &mut PipelineStats,
     cache: Option<CacheScope<'_>>,
 ) -> Result<ThresholdAnswer> {
     let t0 = Instant::now();
-    let answer = threshold_ladder_inner(target, tau, opts, s, stats, cache);
+    let answer = threshold_ladder_inner(target, tau, opts, budget, s, stats, cache);
     stats.execute_nanos += t0.elapsed().as_nanos() as u64;
     answer
 }
@@ -194,6 +198,7 @@ fn threshold_ladder_inner(
     target: ObjectId,
     tau: f64,
     opts: ThresholdOptions,
+    budget: EngineBudget,
     s: &mut SkyScratch,
     stats: &mut PipelineStats,
     cache: Option<CacheScope<'_>>,
@@ -218,19 +223,19 @@ fn threshold_ladder_inner(
         return Ok(answer);
     }
 
-    // Rung 3: exact when cheap — the flat query's cost shape (largest
-    // component, summed lattice cost) refined with the ladder's own work
-    // limit. After each solved factor, the factors solved so far times the
-    // remaining components' brackets enclose sky, so the scan exits as
-    // soon as that product decides either side of τ.
-    let largest = plan::largest_component(&s.partition);
-    let exact_work = plan::exact_cost(&s.partition);
-    if largest <= opts.exact_component_limit && exact_work <= opts.exact_work_limit {
+    // Rung 3: exact wherever the adaptive flat query would solve exactly
+    // (the same `plans_exact` rule, with the fallback sampler's predicted
+    // cost as the sampling side). After each solved factor, the factors
+    // solved so far times the remaining components' brackets enclose sky,
+    // so the scan exits as soon as that product decides either side of τ.
+    let algo = Algorithm::Adaptive {
+        exact_component_limit: opts.exact_component_limit,
+        sam: opts.fallback,
+    };
+    if plan::plans_exact(algo, &plan::prepared_shape(s)) {
         stats.plan_exact += 1;
-        let det = DetOptions::default()
-            .with_max_attackers(opts.exact_component_limit)
-            .with_deadline_at(opts.deadline_at)
-            .with_max_joints(opts.max_joints);
+        let det =
+            budget.stamp_det(DetOptions::default().with_max_attackers(opts.exact_component_limit));
         let n_groups = s.partition.n_groups();
         let mut sky = 1.0;
         for g in 0..n_groups {
@@ -255,7 +260,7 @@ fn threshold_ladder_inner(
     let sprt = opts
         .sprt
         .with_seed(opts.sprt.seed ^ target.0 as u64)
-        .with_deadline_at(opts.deadline_at.or(opts.sprt.deadline_at));
+        .with_deadline_at(budget.deadline_at.or(opts.sprt.deadline_at));
     let out = sky_threshold_test_view_with(&s.work, tau, sprt, &mut s.sam)?;
     stats.samples_drawn += out.samples_used;
     stats.coin_draws += out.coin_draws;
@@ -283,7 +288,7 @@ fn threshold_ladder_inner(
             let sam = opts
                 .fallback
                 .with_seed(opts.fallback.seed ^ target.0 as u64)
-                .with_deadline_at(opts.deadline_at.or(opts.fallback.deadline_at));
+                .with_deadline_at(budget.deadline_at.or(opts.fallback.deadline_at));
             let out = sky_sam_view_with(&s.work, sam, &mut s.sam)?;
             stats.samples_drawn += out.samples;
             stats.coin_draws += out.coin_draws;

@@ -22,10 +22,11 @@
 //!    components are smaller;
 //! 2. **whole-view Bonferroni bounds** (level 2 by default) for the
 //!    objects the brackets leave open;
-//! 3. **exact solving** when the preprocessed instance's components are
-//!    small (same criterion as the adaptive query), exiting as soon as the
-//!    factors solved so far times the remaining components' brackets
-//!    decide either side of τ;
+//! 3. **exact solving** wherever the adaptive flat query would solve the
+//!    prepared instance exactly (the planner's own rule, with
+//!    `exact_component_limit` and the `fallback` sampler's predicted
+//!    cost), exiting as soon as the factors solved so far times the
+//!    remaining components' brackets decide either side of τ;
 //! 4. **Wald's sequential test** (`presky_approx::sprt`) — samples only
 //!    until the evidence separates, escalating to
 //! 5. a fixed-budget estimate for the rare `Undecided` stragglers.
@@ -34,19 +35,16 @@
 //! bounds rungs and the exact rung's early exit report
 //! [`Resolution::Bounds`]), so the harness can report how much work the
 //! pruning saves; the aggregated [`PipelineStats`] additionally carries
-//! rung counters and stage times.
+//! rung counters and stage times. A request budget reaches the ladder as
+//! it reaches the flat query's plan: deadline and joint allowance in the
+//! exact rung, deadline in the sequential test and the fallback (see
+//! [`crate::engine::threshold_resident`]).
 
-use std::time::Instant;
-
-#[cfg(test)]
-use presky_core::batch::BatchCoinContext;
 use presky_core::preference::PreferenceModel;
 use presky_core::table::Table;
 use presky_core::types::ObjectId;
 
 use presky_exact::bounds::SkyBounds;
-#[cfg(test)]
-use presky_exact::cache::ComponentCache;
 
 use presky_approx::sampler::SamOptions;
 use presky_approx::sprt::SprtOptions;
@@ -90,18 +88,18 @@ pub struct ThresholdOptions {
     /// *preprocessed* instance, which is far smaller). The per-component
     /// bracket rungs before it are always the `O(n·d)` cheap bracket.
     pub bonferroni_level: usize,
-    /// Components up to this size are solved exactly.
+    /// Components up to this size are solved exactly. The exact rung
+    /// engages where the adaptive flat query with this limit and the
+    /// `fallback` sampler would solve exactly: every component within the
+    /// limit and the summed lattice work `Σ 2^|component|` at most the
+    /// sampler's predicted cost (floored at `2^22`).
     pub exact_component_limit: usize,
-    /// Skip the exact rung when the summed per-component lattice work
-    /// (`Σ 2^|component|`) exceeds this, even if each component is small —
-    /// thousands of small components still add up. The exact rung also
-    /// exits early once the factors solved so far times the remaining
-    /// components' brackets decide either side of τ, so this guard only
-    /// bites on objects that would genuinely be expensive.
-    pub exact_work_limit: u64,
-    /// Sequential-test configuration (margin, α, β, truncation).
+    /// Sequential-test configuration (margin, α, β, truncation). A
+    /// request budget's deadline takes precedence over its `deadline_at`.
     pub sprt: SprtOptions,
-    /// Fallback fixed-budget sampler for undecided objects.
+    /// Fallback fixed-budget sampler for undecided objects; also the
+    /// sampling side of the exact rung's cost comparison. A request
+    /// budget's deadline takes precedence over its `deadline_at`.
     pub fallback: SamOptions,
     /// Worker threads of the all-objects fan-out (`None` = available
     /// parallelism). Each target is decided on one thread.
@@ -109,12 +107,6 @@ pub struct ThresholdOptions {
     /// Share exact-rung component results across targets through the
     /// hash-consed component cache (bit-identical either way).
     pub component_cache: bool,
-    /// Absolute wall-clock cut-off stamped into every ladder rung
-    /// (exact DFS, sequential test, fallback sampler). A tripped deadline
-    /// surfaces as a budget error, never as a fabricated verdict.
-    pub deadline_at: Option<Instant>,
-    /// Joint-probability ceiling stamped into the exact rung.
-    pub max_joints: Option<u64>,
 }
 
 impl Default for ThresholdOptions {
@@ -122,13 +114,10 @@ impl Default for ThresholdOptions {
         Self {
             bonferroni_level: 2,
             exact_component_limit: 20,
-            exact_work_limit: 1 << 22,
             sprt: SprtOptions::default(),
             fallback: SamOptions::default(),
             threads: None,
             component_cache: true,
-            deadline_at: None,
-            max_joints: None,
         }
     }
 }
@@ -143,12 +132,6 @@ impl ThresholdOptions {
     /// Chainable: set the exact rung's component-size limit.
     pub fn with_exact_component_limit(mut self, limit: usize) -> Self {
         self.exact_component_limit = limit;
-        self
-    }
-
-    /// Chainable: set the exact rung's summed lattice-work limit.
-    pub fn with_exact_work_limit(mut self, limit: u64) -> Self {
-        self.exact_work_limit = limit;
         self
     }
 
@@ -176,18 +159,6 @@ impl ThresholdOptions {
         self.component_cache = on;
         self
     }
-
-    /// Chainable: set (or clear) the absolute wall-clock cut-off.
-    pub fn with_deadline_at(mut self, deadline_at: Option<Instant>) -> Self {
-        self.deadline_at = deadline_at;
-        self
-    }
-
-    /// Chainable: set (or clear) the exact rung's joint ceiling.
-    pub fn with_max_joints(mut self, max_joints: Option<u64>) -> Self {
-        self.max_joints = max_joints;
-        self
-    }
 }
 
 pub(crate) fn validate_tau(tau: f64) -> Result<()> {
@@ -209,43 +180,6 @@ pub fn threshold_one<M: PreferenceModel>(
     let mut scratch = SkyScratch::default();
     let mut stats = PipelineStats::default();
     engine::threshold_solve_one(table, prefs, target, tau, opts, &mut scratch, &mut stats)
-}
-
-/// The probabilistic skyline as a membership list, in parallel, one-shot:
-/// index the table, run the batch ladder, tear everything down again.
-///
-/// Returns one [`ThresholdAnswer`] per object, in object order. The table
-/// is indexed once into a [`BatchCoinContext`]; workers assemble views by
-/// array lookups, keep per-worker scratch, and their chunked results are
-/// stitched in order without a shared mutex. Kept as the bit-identity
-/// baseline [`engine::threshold_resident`] is pinned to in its own tests;
-/// production routes through the resident driver.
-#[cfg(test)]
-pub(crate) fn threshold_skyline_inner<M: PreferenceModel + Sync>(
-    table: &Table,
-    prefs: &M,
-    tau: f64,
-    opts: ThresholdOptions,
-) -> Result<(Vec<ThresholdAnswer>, PipelineStats)> {
-    validate_tau(tau)?;
-    let ctx = BatchCoinContext::build(table)?;
-    let n = table.len();
-    let threads = engine::effective_threads(opts.threads, n);
-    let cache = ComponentCache::default();
-    let (answers, stats) = engine::run_chunked(n, threads, |i, scratch, stats| {
-        engine::threshold_batch_one(
-            &ctx,
-            prefs,
-            ObjectId::from(i),
-            tau,
-            opts,
-            scratch,
-            stats,
-            Some(engine::CacheScope::new(&cache)),
-        )
-    });
-    let answers = answers.into_iter().collect::<Result<Vec<_>>>()?;
-    Ok((answers, stats))
 }
 
 /// Aggregate how the ladder resolved a result set (for reporting).
@@ -277,29 +211,27 @@ pub fn resolution_stats(answers: &[ThresholdAnswer]) -> ResolutionStats {
 
 #[cfg(test)]
 mod tests {
+    use presky_core::batch::BatchCoinContext;
     use presky_core::preference::{PrefPair, TablePreferences};
+    use presky_exact::cache::ComponentCache;
 
     use super::*;
+    use crate::engine::{threshold_resident, CacheScope, EngineBudget};
     use crate::oracle::all_sky_naive;
 
-    // One-shot shims over the internal driver, standing in for the
-    // removed free functions these tests were written against.
+    // One-shot shim over the resident driver, standing in for the removed
+    // free functions these tests were written against.
     fn threshold_skyline<M: PreferenceModel + Sync>(
         table: &Table,
         prefs: &M,
         tau: f64,
         opts: ThresholdOptions,
-    ) -> Result<Vec<ThresholdAnswer>> {
-        threshold_skyline_inner(table, prefs, tau, opts).map(|(r, _)| r)
-    }
-
-    fn threshold_skyline_with_stats<M: PreferenceModel + Sync>(
-        table: &Table,
-        prefs: &M,
-        tau: f64,
-        opts: ThresholdOptions,
     ) -> Result<(Vec<ThresholdAnswer>, PipelineStats)> {
-        threshold_skyline_inner(table, prefs, tau, opts)
+        let ctx = BatchCoinContext::build(table)?;
+        let cache = ComponentCache::default();
+        let scope = Some(CacheScope::new(&cache));
+        let out = threshold_resident(&ctx, prefs, tau, opts, scope, EngineBudget::default())?;
+        Ok((out.results.into_iter().map(Option::unwrap).collect(), out.stats))
     }
 
     fn example1() -> (Table, TablePreferences) {
@@ -314,7 +246,7 @@ mod tests {
         let (t, p) = example1();
         let oracle = all_sky_naive(&t, &p, 20).unwrap();
         for tau in [0.05, 0.15, 0.2, 0.5, 0.9] {
-            let answers = threshold_skyline(&t, &p, tau, ThresholdOptions::default()).unwrap();
+            let (answers, _) = threshold_skyline(&t, &p, tau, ThresholdOptions::default()).unwrap();
             for (a, &sky) in answers.iter().zip(&oracle) {
                 assert_eq!(a.member, sky >= tau, "τ = {tau}, object {}: sky {sky}", a.object);
             }
@@ -328,7 +260,7 @@ mod tests {
         // must resolve at the bounds rung... upper = min(1 − Pr(e_i)); for
         // O that is 0.5 < 0.9 ✓. For others likewise under these ½ prefs.
         let (answers, pipeline) =
-            threshold_skyline_with_stats(&t, &p, 0.9, ThresholdOptions::default()).unwrap();
+            threshold_skyline(&t, &p, 0.9, ThresholdOptions::default()).unwrap();
         let stats = resolution_stats(&answers);
         assert_eq!(stats.by_bounds, answers.len(), "{stats:?}");
         assert!(answers.iter().all(|a| !a.member));
@@ -407,7 +339,7 @@ mod tests {
     fn stats_tally_matches_resolutions() {
         let (t, p) = example1();
         let (answers, pipeline) =
-            threshold_skyline_with_stats(&t, &p, 0.15, ThresholdOptions::default()).unwrap();
+            threshold_skyline(&t, &p, 0.15, ThresholdOptions::default()).unwrap();
         let stats = resolution_stats(&answers);
         assert_eq!(
             stats.by_bounds + stats.by_exact + stats.by_sequential + stats.by_estimate,

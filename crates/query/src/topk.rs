@@ -14,23 +14,15 @@
 //! The two-phase design keeps total work near `O(n · m_scout)` while the
 //! ranking quality is governed by the refined budget — the same
 //! additive-error calculus as Theorem 2, applied only where it matters.
-
-#[cfg(test)]
-use presky_core::preference::PreferenceModel;
-#[cfg(test)]
-use presky_core::table::Table;
+//!
+//! This module holds the options; the query itself runs in the resident
+//! driver [`crate::engine::top_k_resident`], whose scout phase is the
+//! all-objects driver [`crate::engine::all_sky_resident`] and whose refine
+//! phase shares its component cache.
 
 use presky_approx::sampler::SamOptions;
-#[cfg(test)]
-use presky_exact::cache::ComponentCache;
 
-#[cfg(test)]
-use crate::engine::{self, PipelineStats, PrepareOptions};
-#[cfg(test)]
-use crate::error::{QueryError, Result};
 use crate::prob_skyline::SkyResult;
-#[cfg(test)]
-use crate::prob_skyline::{all_sky_with_stats_cached, Algorithm, QueryOptions, SkyScratch};
 
 /// Options of the two-phase top-k query.
 #[derive(Debug, Clone, Copy)]
@@ -108,82 +100,6 @@ impl TopKOptions {
     }
 }
 
-/// The `k` objects with the highest skyline probabilities, sorted
-/// descending (ties broken by object id for determinism), one-shot.
-/// Kept as the bit-identity baseline [`engine::top_k_resident`] is pinned
-/// to in its own tests; production routes through the resident driver.
-#[cfg(test)]
-pub(crate) fn top_k_inner<M: PreferenceModel + Sync>(
-    table: &Table,
-    prefs: &M,
-    k: usize,
-    opts: TopKOptions,
-) -> Result<Vec<SkyResult>> {
-    if k == 0 {
-        return Err(QueryError::ZeroK);
-    }
-    if opts.overfetch == 0 {
-        return Err(QueryError::ZeroK);
-    }
-
-    // One cache spans both phases: a refined candidate re-prepares the
-    // instance the scout pass already solved, so every exact component it
-    // reaches is a hit.
-    let cache = ComponentCache::default();
-    let cache = opts.component_cache.then(|| engine::CacheScope::new(&cache));
-
-    // Phase 1: scout everything.
-    let scout_opts = QueryOptions {
-        algorithm: Algorithm::Adaptive {
-            exact_component_limit: opts.exact_component_limit,
-            sam: opts.scout,
-        },
-        threads: opts.threads,
-        component_cache: opts.component_cache,
-    };
-    let (mut scouted, _) = all_sky_with_stats_cached(table, prefs, scout_opts, cache)?;
-    sort_desc(&mut scouted);
-
-    // Phase 2: refine the head of the ranking. Exact scout values skip
-    // refinement and keep their `exact = true` provenance — re-solving
-    // them would redo identical work for an identical answer. The
-    // estimated candidates re-run the engine with the refine budget,
-    // sharing one scratch across the loop (bit-identical to fresh scratch
-    // per target; guarded in `crates/query/tests/properties.rs`).
-    let cut = (k.saturating_mul(opts.overfetch)).min(scouted.len());
-    let mut refined: Vec<SkyResult> = Vec::with_capacity(cut);
-    let mut scratch = SkyScratch::default();
-    let mut stats = PipelineStats::default();
-    let prep = PrepareOptions { component_cache: opts.component_cache, ..Default::default() };
-    for r in &scouted[..cut] {
-        if r.exact {
-            refined.push(*r);
-        } else {
-            let algo = Algorithm::Adaptive {
-                exact_component_limit: opts.exact_component_limit,
-                sam: opts
-                    .refine
-                    .with_seed(opts.refine.seed ^ (r.object.0 as u64).wrapping_mul(0x9e37)),
-            };
-            let (result, _) = engine::solve_one_explained_cached(
-                table,
-                prefs,
-                r.object,
-                algo,
-                engine::EngineBudget::default(),
-                prep,
-                &mut scratch,
-                &mut stats,
-                cache,
-            )?;
-            refined.push(result);
-        }
-    }
-    sort_desc(&mut refined);
-    refined.truncate(k);
-    Ok(refined)
-}
-
 pub(crate) fn sort_desc(v: &mut [SkyResult]) {
     v.sort_by(|a, b| {
         b.sky.partial_cmp(&a.sky).unwrap_or(std::cmp::Ordering::Equal).then(a.object.cmp(&b.object))
@@ -192,13 +108,18 @@ pub(crate) fn sort_desc(v: &mut [SkyResult]) {
 
 #[cfg(test)]
 mod tests {
-    use presky_core::preference::{PrefPair, TablePreferences};
+    use presky_core::batch::BatchCoinContext;
+    use presky_core::preference::{PrefPair, PreferenceModel, TablePreferences};
+    use presky_core::table::Table;
     use presky_core::types::ObjectId;
+    use presky_exact::cache::ComponentCache;
 
     use super::*;
+    use crate::engine::{top_k_resident, CacheScope, EngineBudget};
+    use crate::error::{QueryError, Result};
     use crate::oracle::all_sky_naive;
 
-    // One-shot shim over the internal driver, standing in for the removed
+    // One-shot shim over the resident driver, standing in for the removed
     // free function these tests were written against.
     fn top_k_skyline<M: PreferenceModel + Sync>(
         table: &Table,
@@ -206,7 +127,11 @@ mod tests {
         k: usize,
         opts: TopKOptions,
     ) -> Result<Vec<SkyResult>> {
-        top_k_inner(table, prefs, k, opts)
+        let ctx = BatchCoinContext::build(table)?;
+        let cache = ComponentCache::default();
+        let scope = Some(CacheScope::new(&cache));
+        let out = top_k_resident(&ctx, prefs, k, opts, scope, EngineBudget::default())?;
+        Ok(out.results.into_iter().map(Option::unwrap).collect())
     }
 
     fn fixture() -> (Table, TablePreferences) {

@@ -218,11 +218,12 @@ fn threshold_one_reference(
         };
     }
 
-    // Rung 2: exact with the early exit on the falling component product.
+    // Rung 2: exact with the early exit on the falling component product,
+    // under the previous ladder's own summed lattice-work limit of 2^22.
     let largest = groups.iter().map(Vec::len).max().unwrap_or(0);
     let exact_work: u64 =
         groups.iter().map(|g| 1u64 << g.len().min(63)).fold(0, u64::saturating_add);
-    if largest <= opts.exact_component_limit && exact_work <= opts.exact_work_limit {
+    if largest <= opts.exact_component_limit && exact_work <= 1 << 22 {
         let det = DetOptions::default().with_max_attackers(opts.exact_component_limit);
         let mut sky = 1.0;
         for g in &groups {
@@ -541,7 +542,7 @@ proptest! {
         arm in 0usize..3,
     ) {
         // Arm 0: default options exercise the bounds and exact rungs.
-        // Arms 1 and 2 zero the exact budgets, which sends every
+        // Arms 1 and 2 zero the exact component limit, which sends every
         // bounds-inconclusive object down to the sequential test and the
         // fixed-budget fallback, covering the sampling rungs (and their
         // per-target seed derivation) too; whole-view level-2 Bonferroni
@@ -549,7 +550,6 @@ proptest! {
         // truncate the test at 512 worlds to reach both sampling rungs.
         let sampling = ThresholdOptions::default()
             .with_exact_component_limit(0)
-            .with_exact_work_limit(0)
             .with_bonferroni_level(1)
             .with_sprt(SprtOptions::default().with_max_samples(512));
         if arm < 2 {

@@ -86,7 +86,6 @@ pub(crate) fn request_signature(
             sig.u64(tau.to_bits());
             sig.u64(opts.bonferroni_level as u64);
             sig.u64(opts.exact_component_limit as u64);
-            sig.u64(opts.exact_work_limit);
             sig.u64(opts.sprt.margin.to_bits());
             sig.u64(opts.sprt.alpha.to_bits());
             sig.u64(opts.sprt.beta.to_bits());
@@ -96,8 +95,6 @@ pub(crate) fn request_signature(
             sig.sam(&opts.fallback);
             sig.opt_u64(opts.threads.map(|t| t as u64));
             sig.bool(opts.component_cache);
-            sig.absent_deadline(opts.deadline_at);
-            sig.opt_u64(opts.max_joints);
         }
         Query::TopK { k, opts } => {
             sig.u8(3);
@@ -434,8 +431,10 @@ mod tests {
                 .with_deadline_at(Some(Instant::now() + Duration::from_secs(1))),
         ));
         assert!(request_signature(&Request::all_sky(opts), 0, 0).is_none());
-        let topts = ThresholdOptions::default()
-            .with_deadline_at(Some(Instant::now() + Duration::from_secs(1)));
+        let topts = ThresholdOptions::default().with_sprt(
+            presky_approx::sprt::SprtOptions::default()
+                .with_deadline_at(Some(Instant::now() + Duration::from_secs(1))),
+        );
         assert!(request_signature(&Request::threshold(0.2, topts), 0, 0).is_none());
     }
 

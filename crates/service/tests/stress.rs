@@ -4,13 +4,18 @@
 //! 1. **bit-identity** — concurrent answers are bit-for-bit the answers
 //!    the same requests get serially (the cache and the metrics are the
 //!    only shared mutable state, and neither may influence values);
-//! 2. **budget honesty** — a deadline-bounded request terminates near its
-//!    budget and returns only slots identical to the unbudgeted run.
+//! 2. **budget honesty** — a deadline- or ledger-bounded request
+//!    terminates near its budget and returns only slots identical to the
+//!    unbudgeted run.
 
 use std::time::{Duration, Instant};
 
-use presky_core::preference::SeededPreferences;
+use presky_core::preference::{PreferenceModel, SeededPreferences, TablePreferences};
+use presky_core::table::Table;
+use presky_core::types::{DimId, ValueId};
 use presky_datagen::car::car_projected;
+use presky_query::engine::PipelineStats;
+use presky_query::threshold::Resolution;
 use presky_service::prelude::*;
 use presky_service::Outcome;
 
@@ -85,54 +90,108 @@ fn eight_thread_mixed_workload_is_bit_identical_to_serial() {
     assert!(m.cache_entries > 0);
 }
 
-#[test]
-fn deadline_bounded_requests_terminate_in_budget_and_never_lie() {
-    let engine = car_engine(EngineOptions::default());
-    let full = engine.run(Request::all_sky(QueryOptions::default().with_threads(Some(1)))).unwrap();
-    let want = full.outcome.value().as_all_sky().unwrap().to_vec();
+/// Every slot of a batch value as bits, `None` where truncated: an
+/// all-sky slot's object, value and exactness; a threshold slot's object,
+/// membership, resolution kind, and the resolution's bits or sample count.
+fn slot_bits(value: &Value) -> Vec<Option<[u64; 5]>> {
+    match value {
+        Value::AllSky(slots) => slots
+            .iter()
+            .map(|s| s.map(|r| [r.object.0.into(), r.sky.to_bits(), r.exact.into(), 0, 0]))
+            .collect(),
+        Value::Threshold(slots) => slots
+            .iter()
+            .map(|s| {
+                s.map(|a| {
+                    let (kind, x, y) = match a.resolution {
+                        Resolution::Bounds(b) => (1, b.lower.to_bits(), b.upper.to_bits()),
+                        Resolution::Exact(v) => (2, v.to_bits(), 0),
+                        Resolution::Sequential { samples_used } => (3, samples_used, 0),
+                        Resolution::Estimated(v) => (4, v.to_bits(), 0),
+                    };
+                    [a.object.0.into(), a.member.into(), kind, x, y]
+                })
+            })
+            .collect(),
+        other => panic!("not a batch value: {other:?}"),
+    }
+}
 
-    // From "already expired" up to "tight but real": every budget must
-    // terminate promptly and only ever withhold slots, never alter them.
-    for micros in [0u64, 50, 500, 5_000] {
-        let deadline = Duration::from_micros(micros);
+/// Run `request` unbudgeted, then under deadlines from "already expired"
+/// up to "tight but real" and under joint and world ledgers of half the
+/// unbudgeted work: every budget must terminate promptly and only ever
+/// withhold slots, never alter them. Returns the unbudgeted run's stats.
+fn check_budgets<M: PreferenceModel + Sync>(engine: &Engine<M>, request: Request) -> PipelineStats {
+    let full = engine.run(request.clone()).unwrap();
+    let want = slot_bits(full.outcome.value());
+    let stats = full.stats;
+    let deadlines = [0u64, 50, 500, 5_000].map(|us| Some(Duration::from_micros(us)));
+    let budgets = deadlines.map(|d| Budget::default().with_deadline(d)).into_iter().chain([
+        Budget::default().with_max_joints(Some(stats.joints_computed / 2)),
+        Budget::default().with_max_samples(Some(stats.samples_drawn / 2)),
+    ]);
+    for budget in budgets {
         let started = Instant::now();
-        let resp = engine
-            .run(
-                Request::all_sky(QueryOptions::default().with_threads(Some(1)))
-                    .with_budget(Budget::default().with_deadline(Some(deadline))),
-            )
-            .unwrap();
+        let resp = engine.run(request.clone().with_budget(budget)).unwrap();
         // Budget + one chunk of slack (the DFS checks every 8192 joints,
         // the samplers every 64-world block); a generous absolute bound
         // keeps this robust on loaded CI machines.
-        assert!(
-            started.elapsed() < deadline + Duration::from_secs(5),
-            "a {micros}µs deadline must terminate the request promptly"
-        );
-        let got = resp.outcome.value().as_all_sky().unwrap();
+        let allowance = budget.deadline.unwrap_or_default() + Duration::from_secs(5);
+        assert!(started.elapsed() < allowance, "{budget:?} must terminate promptly");
+        let got = slot_bits(resp.outcome.value());
         assert_eq!(got.len(), want.len());
-        let mut truncated = 0u64;
+        let mut missing = 0u64;
         for (g, w) in got.iter().zip(&want) {
             match g {
-                Some(g) => {
-                    let w = w.expect("unbudgeted run completed every slot");
-                    assert_eq!(g.sky.to_bits(), w.sky.to_bits(), "budget altered a value");
-                    assert_eq!(g.exact, w.exact);
-                }
-                None => truncated += 1,
+                Some(g) => assert_eq!(g, &w.expect("unbudgeted slot"), "{budget:?} altered a slot"),
+                None => missing += 1,
             }
         }
         match resp.outcome {
-            Outcome::DeadlineExceeded { truncated: t, .. } => {
-                assert_eq!(t, truncated, "truncation count must match the missing slots");
-                assert!(t > 0);
+            Outcome::DeadlineExceeded { truncated, .. } => {
+                assert_eq!(truncated, missing, "{budget:?}: truncation count vs missing slots");
+                assert!(truncated > 0);
             }
-            _ => assert_eq!(truncated, 0, "complete outcomes must have every slot present"),
+            _ => assert_eq!(missing, 0, "complete outcomes must have every slot present"),
+        }
+        if budget.deadline.is_none_or(|d| d.is_zero()) {
+            assert!(missing > 0, "{budget:?} must truncate");
         }
     }
     let m = engine.metrics();
     assert_eq!(m.completed, m.admitted);
     assert_eq!(m.in_flight, 0);
+    stats
+}
+
+#[test]
+fn deadline_bounded_requests_terminate_in_budget_and_never_lie() {
+    let engine = car_engine(EngineOptions::default());
+    check_budgets(&engine, Request::all_sky(QueryOptions::default().with_threads(Some(1))));
+
+    // A threshold request on two blocks with no comparable value pair
+    // between them, every set pair a fifty-fifty coin: target (0, 0) with
+    // 18 attackers (i, 1) joined by their shared coin on dimension 1 (one
+    // component of 2^18 subsets, solved exactly, long enough for a budget
+    // to trip inside its walk), then target (100, 100) with 30 such
+    // attackers (too many for the exact rung: the SPRT). At τ = 0.45 no
+    // bracket decides either. With the component cache off every run
+    // repeats the unbudgeted run's work.
+    let mut rows = Vec::new();
+    let mut prefs = TablePreferences::new();
+    for (base, k) in [(0u32, 18u32), (100, 30)] {
+        rows.push(vec![base, base]);
+        prefs.set(DimId(1), ValueId(base + 1), ValueId(base), 0.5, 0.5).unwrap();
+        for i in 1..=k {
+            rows.push(vec![base + i, base + 1]);
+            prefs.set(DimId(0), ValueId(base + i), ValueId(base), 0.5, 0.5).unwrap();
+        }
+    }
+    let table = Table::from_rows_raw(2, &rows).unwrap();
+    let engine = Engine::new(table, prefs, EngineOptions::default()).unwrap();
+    let opts = ThresholdOptions::default().with_threads(Some(1)).with_component_cache(false);
+    let stats = check_budgets(&engine, Request::threshold(0.45, opts));
+    assert!(stats.plan_exact > 0 && stats.plan_sequential > 0, "{stats}");
 }
 
 #[test]
