@@ -96,7 +96,7 @@ pub struct SamOptions {
 
 impl SamOptions {
     /// `m` samples with the given seed, paper defaults otherwise.
-    pub fn with_samples(samples: u64, seed: u64) -> Self {
+    pub const fn with_samples(samples: u64, seed: u64) -> Self {
         Self {
             samples,
             seed,

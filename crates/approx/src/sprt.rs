@@ -47,16 +47,18 @@ use presky_core::types::ObjectId;
 use crate::error::{ApproxError, Result};
 use crate::sampler::SamScratch;
 
-/// Configuration of the sequential test.
+/// Half-width of the indifference region around τ.
+pub const MARGIN: f64 = 0.02;
+/// Type-I error (accepting `≥ τ` when the truth is `≤ τ − MARGIN`).
+pub const ALPHA: f64 = 0.01;
+/// Type-II error (accepting `< τ` when the truth is `≥ τ + MARGIN`).
+pub const BETA: f64 = 0.01;
+
+/// Configuration of the sequential test. The indifference region and the
+/// error levels are the constants [`MARGIN`], [`ALPHA`] and [`BETA`].
 #[derive(Debug, Clone, Copy)]
 #[non_exhaustive]
 pub struct SprtOptions {
-    /// Half-width of the indifference region around τ.
-    pub margin: f64,
-    /// Type-I error (accepting `≥ τ` when the truth is `≤ τ − margin`).
-    pub alpha: f64,
-    /// Type-II error (accepting `< τ` when the truth is `≥ τ + margin`).
-    pub beta: f64,
     /// Truncation point.
     pub max_samples: u64,
     /// RNG seed.
@@ -69,36 +71,11 @@ pub struct SprtOptions {
 
 impl Default for SprtOptions {
     fn default() -> Self {
-        Self {
-            margin: 0.02,
-            alpha: 0.01,
-            beta: 0.01,
-            max_samples: 200_000,
-            seed: 0,
-            deadline_at: None,
-        }
+        Self { max_samples: 200_000, seed: 0, deadline_at: None }
     }
 }
 
 impl SprtOptions {
-    /// Chainable: set the indifference half-width.
-    pub fn with_margin(mut self, margin: f64) -> Self {
-        self.margin = margin;
-        self
-    }
-
-    /// Chainable: set the type-I error level.
-    pub fn with_alpha(mut self, alpha: f64) -> Self {
-        self.alpha = alpha;
-        self
-    }
-
-    /// Chainable: set the type-II error level.
-    pub fn with_beta(mut self, beta: f64) -> Self {
-        self.beta = beta;
-        self
-    }
-
     /// Chainable: set the truncation point.
     pub fn with_max_samples(mut self, max_samples: u64) -> Self {
         self.max_samples = max_samples;
@@ -182,26 +159,19 @@ pub fn sky_threshold_test_view_with(
     opts: SprtOptions,
     scratch: &mut SamScratch,
 ) -> Result<SprtOutcome> {
-    for (name, v) in
-        [("tau", tau), ("margin", opts.margin), ("alpha", opts.alpha), ("beta", opts.beta)]
-    {
-        if v.is_nan() || !(0.0..=1.0).contains(&v) {
-            return Err(ApproxError::InvalidParameter { name, value: v });
-        }
+    if tau.is_nan() || !(0.0..=1.0).contains(&tau) {
+        return Err(ApproxError::InvalidParameter { name: "tau", value: tau });
     }
     if opts.max_samples == 0 {
         return Err(ApproxError::ZeroSamples);
     }
     // Clamp the hypotheses into (0, 1) so the likelihood ratio is finite.
-    let p0 = (tau - opts.margin).clamp(1e-9, 1.0 - 1e-9);
-    let p1 = (tau + opts.margin).clamp(1e-9, 1.0 - 1e-9);
-    if p0 >= p1 {
-        return Err(ApproxError::InvalidParameter { name: "margin", value: opts.margin });
-    }
+    let p0 = (tau - MARGIN).clamp(1e-9, 1.0 - 1e-9);
+    let p1 = (tau + MARGIN).clamp(1e-9, 1.0 - 1e-9);
     let l_hit = (p1 / p0).ln();
     let l_miss = ((1.0 - p1) / (1.0 - p0)).ln();
-    let upper = ((1.0 - opts.beta) / opts.alpha).ln();
-    let lower = (opts.beta / (1.0 - opts.alpha)).ln();
+    let upper = ((1.0 - BETA) / ALPHA).ln();
+    let lower = (BETA / (1.0 - ALPHA)).ln();
 
     view.checking_sequence_into(&mut scratch.probs, &mut scratch.order);
     let walk = WaldWalk { l_hit, l_miss, upper, lower };
@@ -314,11 +284,13 @@ mod tests {
 
     #[test]
     fn near_threshold_truncates_undecided() {
+        // At τ = sky the walk has no drift, and 200 worlds are far too few
+        // for it to reach a boundary ln(99) away.
         let (t, p) = example1();
-        let opts = SprtOptions { max_samples: 2_000, margin: 0.001, ..Default::default() };
+        let opts = SprtOptions::default().with_max_samples(200);
         let out = sky_threshold_test(&t, &p, ObjectId(0), 0.1875, opts).unwrap();
         assert_eq!(out.decision, ThresholdDecision::Undecided);
-        assert_eq!(out.samples_used, 2_000);
+        assert_eq!(out.samples_used, 200);
         assert!((out.estimate - 0.1875).abs() < 0.05);
     }
 
@@ -343,8 +315,8 @@ mod tests {
     #[test]
     fn parameter_validation() {
         let (t, p) = example1();
-        let bad = SprtOptions { margin: f64::NAN, ..Default::default() };
-        assert!(sky_threshold_test(&t, &p, ObjectId(0), 0.5, bad).is_err());
+        let nan = sky_threshold_test(&t, &p, ObjectId(0), f64::NAN, SprtOptions::default());
+        assert!(nan.is_err());
         let bad = SprtOptions { max_samples: 0, ..Default::default() };
         assert!(matches!(
             sky_threshold_test(&t, &p, ObjectId(0), 0.5, bad),

@@ -38,10 +38,12 @@
 //! is decided outright — first from the per-component product, then from
 //! the whole-view Bonferroni bracket.
 
+use std::time::Instant;
+
 use presky_core::coins::CoinView;
 
 use crate::error::Result;
-use crate::levelwise::sky_levelwise_partial_big;
+use crate::levelwise::partial_big_until;
 
 /// A certified enclosure `lower ≤ sky ≤ upper`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -103,12 +105,26 @@ pub fn sky_bounds_cheap_subset(
 /// `C(n, k)` joint probabilities — keep `max_level ≤ 3` on big instances).
 /// The result is intersected with the cheap correlation bounds.
 pub fn sky_bounds_bonferroni(view: &CoinView, max_level: usize) -> Result<SkyBounds> {
+    sky_bounds_bonferroni_until(view, max_level, None)
+}
+
+/// [`sky_bounds_bonferroni`] under an absolute deadline, checked every
+/// 8192 joints of the level enumeration as the exact DFS checks its own:
+/// once it has passed, the pass fails with
+/// [`ExactError::DeadlineExceeded`](crate::error::ExactError::DeadlineExceeded)
+/// instead of returning bounds. Without a deadline the bits are
+/// [`sky_bounds_bonferroni`]'s.
+pub fn sky_bounds_bonferroni_until(
+    view: &CoinView,
+    max_level: usize,
+    deadline_at: Option<Instant>,
+) -> Result<SkyBounds> {
     let mut bounds = sky_bounds_cheap(view);
     let n = view.n_attackers();
     let mut joints_through_level = 0u64;
     for k in 1..=max_level.min(n) {
         joints_through_level = joints_through_level.saturating_add(binomial(n, k));
-        let (partial, _, complete) = sky_levelwise_partial_big(view, joints_through_level);
+        let (partial, _, complete) = partial_big_until(view, joints_through_level, deadline_at)?;
         if complete {
             // The truncation covered the whole lattice: exact value.
             return Ok(SkyBounds { lower: partial, upper: partial });
@@ -267,6 +283,30 @@ mod tests {
             assert!(whole.lower <= product.lower + 1e-12 && product.upper <= whole.upper + 1e-12);
         }
         assert!(singletons > 0, "the corpus must contain singleton components");
+    }
+
+    #[test]
+    fn level_two_pass_stops_at_an_expired_deadline() {
+        use std::time::Duration;
+
+        use crate::error::ExactError;
+
+        // 140 attackers over 60 coins: 140 + C(140, 2) = 9 870 level-2
+        // joints, past the first check at 8 192.
+        let clauses: Vec<Vec<u32>> = (0..140u32).map(|i| vec![i % 60, (7 * i + 3) % 60]).collect();
+        let probs: Vec<f64> = (0..60).map(|c| 0.05 + (c % 9) as f64 / 20.0).collect();
+        let view = CoinView::from_parts(probs, clauses).unwrap();
+        let err = sky_bounds_bonferroni_until(&view, 2, Some(Instant::now())).unwrap_err();
+        assert!(
+            matches!(err, ExactError::DeadlineExceeded { joints_computed: 8192, .. }),
+            "{err:?}"
+        );
+        // A deadline that does not pass changes no bit.
+        let later = Some(Instant::now() + Duration::from_secs(3600));
+        let timed = sky_bounds_bonferroni_until(&view, 2, later).unwrap();
+        let plain = sky_bounds_bonferroni(&view, 2).unwrap();
+        assert_eq!(timed.lower.to_bits(), plain.lower.to_bits());
+        assert_eq!(timed.upper.to_bits(), plain.upper.to_bits());
     }
 
     #[test]

@@ -55,7 +55,7 @@ use presky_core::types::ObjectId;
 use crate::error::{ExactError, Result};
 
 /// Joints between two budget checks.
-const CHECK_EVERY: u64 = 8192;
+pub(crate) const CHECK_EVERY: u64 = 8192;
 
 /// Budgets for the exponential exact computation.
 ///

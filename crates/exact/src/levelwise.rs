@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use presky_core::coins::CoinView;
 
-use crate::det::{DetOptions, DetOutcome};
+use crate::det::{DetOptions, DetOutcome, CHECK_EVERY};
 use crate::error::{ExactError, Result};
 
 /// Per-coin bitmask of owning attackers (bit `i` set iff attacker `i`'s
@@ -147,6 +147,19 @@ pub fn sky_levelwise_partial(view: &CoinView, max_joints: u64) -> Result<(f64, u
 /// the price of losing the `O(d)` sharing (acceptable: A2 budgets bound the
 /// number of subsets touched, and A2 exists to be shown inadequate).
 pub fn sky_levelwise_partial_big(view: &CoinView, max_joints: u64) -> (f64, u64, bool) {
+    partial_big_until(view, max_joints, None)
+        .unwrap_or_else(|_| unreachable!("only a deadline stops the enumeration early"))
+}
+
+/// [`sky_levelwise_partial_big`] under an absolute deadline, checked every
+/// [`CHECK_EVERY`] joints: once it has passed, the enumeration stops with
+/// [`ExactError::DeadlineExceeded`], so overshoot is bounded by one chunk.
+pub(crate) fn partial_big_until(
+    view: &CoinView,
+    max_joints: u64,
+    deadline_at: Option<Instant>,
+) -> Result<(f64, u64, bool)> {
+    let start = Instant::now();
     let n = view.n_attackers();
     let mut acc = 1.0;
     let mut joints = 0u64;
@@ -158,7 +171,7 @@ pub fn sky_levelwise_partial_big(view: &CoinView, max_joints: u64) -> (f64, u64,
         let mut idx: Vec<usize> = (0..k).collect();
         loop {
             if joints >= max_joints {
-                return (acc, joints, false);
+                return Ok((acc, joints, false));
             }
             // Pr(E_I): product over the distinct coins of the subset.
             tick += 1;
@@ -173,6 +186,12 @@ pub fn sky_levelwise_partial_big(view: &CoinView, max_joints: u64) -> (f64, u64,
             }
             acc += sign * p;
             joints += 1;
+            if joints.is_multiple_of(CHECK_EVERY)
+                && deadline_at.is_some_and(|at| Instant::now() >= at)
+            {
+                let elapsed = start.elapsed();
+                return Err(ExactError::DeadlineExceeded { elapsed, joints_computed: joints });
+            }
             // Advance to the next lexicographic combination, or end the
             // level when every index is at its maximum.
             let mut advanced = false;
@@ -191,7 +210,7 @@ pub fn sky_levelwise_partial_big(view: &CoinView, max_joints: u64) -> (f64, u64,
             }
         }
     }
-    (acc, joints, true)
+    Ok((acc, joints, true))
 }
 
 fn check_deadline(start: Instant, deadline: Option<Duration>, joints: u64) -> Result<()> {

@@ -59,7 +59,6 @@ pub mod error;
 pub mod levelwise;
 pub mod naive;
 pub mod partition;
-pub mod profile;
 pub mod signature;
 pub mod snapshot;
 
@@ -80,7 +79,6 @@ pub mod prelude {
     pub use crate::levelwise::{sky_levelwise, sky_levelwise_partial, sky_levelwise_partial_big};
     pub use crate::naive::{sky_naive_coins, sky_naive_worlds, NaiveOptions};
     pub use crate::partition::{partition, partition_into, PartitionScratch, UnionFind};
-    pub use crate::profile::{profile, profile_with, InstanceProfile, ProfileScratch};
     pub use crate::signature::component_signature;
     pub use crate::snapshot::{
         load_from_path, read_snapshot, save_to_path, write_snapshot, SnapshotError,

@@ -187,6 +187,43 @@ proptest! {
     }
 
     #[test]
+    fn components_of_one_prepared_view_have_distinct_signatures(
+        seed in 0u64..1_000,
+        rows in proptest::collection::btree_set(proptest::collection::vec(0u32..10, 3), 2..=40),
+        target in 0usize..40,
+        law in 0usize..3,
+    ) {
+        use std::collections::HashSet;
+
+        use presky_core::preference::{PairLaw, SeededPreferences};
+        use presky_core::table::Table;
+        use presky_core::types::ObjectId;
+        use presky_exact::signature::component_signature;
+
+        // The partition splits attackers by shared coins, and one view's
+        // coins have distinct `(dim, value)` keys, so its components embed
+        // disjoint keys: no cache probe of a single target can hit an
+        // entry another of its own components inserted.
+        let rows: Vec<Vec<u32>> = rows.into_iter().collect();
+        let table = Table::from_rows_raw(3, &rows).unwrap();
+        let law = [PairLaw::Complementary, PairLaw::Simplex, PairLaw::Unanimous][law];
+        let prefs = SeededPreferences::new(seed, law);
+        let target = ObjectId::from(target % rows.len());
+        let mut view = CoinView::build(&table, &prefs, target).unwrap();
+        prop_assume!(!view.has_certain_attacker());
+        // Prepare: pruning, absorption, restriction, partition.
+        view.prune_impossible();
+        let work = view.restrict(&absorb(&view).kept);
+        let mut seen = HashSet::new();
+        for group in partition(&work) {
+            let sub = work.restrict_canonical(&group).expect("keyed view");
+            let mut sig = Vec::new();
+            prop_assert!(component_signature(&sub, &mut sig));
+            prop_assert!(seen.insert(sig), "two components of one view share a signature");
+        }
+    }
+
+    #[test]
     fn dnf_counting_round_trips(
         v in 2usize..=7,
         masks in proptest::collection::vec(1u32..128, 1..=5),

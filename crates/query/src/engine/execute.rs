@@ -27,60 +27,46 @@ use presky_core::types::ObjectId;
 
 use presky_approx::sampler::sky_sam_view_with;
 use presky_approx::sprt::{sky_threshold_test_view_with, ThresholdDecision};
-use presky_exact::bounds::{sky_bounds_bonferroni, sky_bounds_cheap_subset, SkyBounds};
+use presky_exact::bounds::{sky_bounds_bonferroni_until, sky_bounds_cheap_subset, SkyBounds};
 use presky_exact::cache::{CacheEntry, ComponentCache};
 use presky_exact::det::{sky_det_view_with, DetOptions};
 use presky_exact::partition::{partition_into, PartitionScratch};
 use presky_exact::signature::component_signature;
 
-use super::plan::{self, Plan, PlanReason};
+use super::plan::{self, Plan};
 use super::prepare::SkyScratch;
 use super::{CacheScope, EngineBudget, PipelineStats};
 use crate::error::Result;
 use crate::prob_skyline::{Algorithm, SkyResult};
-use crate::threshold::{Resolution, ThresholdAnswer, ThresholdOptions};
+use crate::threshold::{Resolution, ThresholdAnswer, ThresholdOptions, FALLBACK};
 
-/// Execute `plan` on the prepared instance in `s`, annotating the plan's
-/// cache provenance in place (`Plan::Exact::cached`, and
-/// [`PlanReason::CacheHit`] when every component was served from `cache`).
+/// Execute `plan` on the prepared instance in `s`.
 pub(crate) fn execute(
     object: ObjectId,
-    plan: &mut Plan,
+    plan: &Plan,
     s: &mut SkyScratch,
     stats: &mut PipelineStats,
     cache: Option<CacheScope<'_>>,
 ) -> Result<SkyResult> {
     let t0 = Instant::now();
-    let result = match plan {
+    let result = match *plan {
         Plan::ShortCircuit => SkyResult { object, sky: 0.0, exact: true },
-        Plan::Exact { det, components, cached, reason, .. } => {
-            let det = *det;
-            let mut hits = 0usize;
+        Plan::Exact { det, .. } => {
             let mut sky = 1.0;
             for g in 0..s.partition.n_groups() {
-                let (factor, hit) = component_factor(g, det, s, stats, cache)?;
-                sky *= factor;
-                hits += usize::from(hit);
-            }
-            // Post-hoc provenance only: the planner's exact-vs-sample
-            // choice must not depend on cache contents, or cached and
-            // uncached runs would diverge.
-            *cached = hits;
-            if hits == *components && *components > 0 {
-                *reason = PlanReason::CacheHit;
+                sky *= component_factor(g, det, s, stats, cache)?;
             }
             SkyResult { object, sky, exact: true }
         }
-        Plan::Sample { sam, reason, .. } => {
-            let out = sky_sam_view_with(&s.work, *sam, &mut s.sam)?;
+        Plan::Sample { sam, .. } => {
+            let out = sky_sam_view_with(&s.work, sam, &mut s.sam)?;
             stats.samples_drawn += out.samples;
             stats.coin_draws += out.coin_draws;
             stats.attacker_checks += out.attacker_checks;
-            // A forced-sampling policy on an attacker-free instance is
-            // still exact (the estimate is the constant 1); an adaptive
-            // policy never reaches sampling in that case.
-            let exact = matches!(reason, PlanReason::Forced) && s.work.n_attackers() == 0;
-            SkyResult { object, sky: out.estimate, exact }
+            // On an attacker-free instance the estimate is the constant 1,
+            // which is exact. Only a forced-sampling policy gets here with
+            // one: the adaptive policy plans it exact.
+            SkyResult { object, sky: out.estimate, exact: s.work.n_attackers() == 0 }
         }
     };
     stats.execute_nanos += t0.elapsed().as_nanos() as u64;
@@ -88,7 +74,7 @@ pub(crate) fn execute(
 }
 
 /// Exact skyline factor of partition group `g`, served from `cache` when
-/// possible. Returns `(factor, was_cache_hit)`.
+/// possible.
 ///
 /// Keyed views are *always* restricted canonically — whether or not a cache
 /// is present — so the DFS multiplies in a canonical order and the result
@@ -103,18 +89,18 @@ fn component_factor(
     s: &mut SkyScratch,
     stats: &mut PipelineStats,
     cache: Option<CacheScope<'_>>,
-) -> Result<(f64, bool)> {
+) -> Result<f64> {
     let group = s.partition.group(g);
     if !s.work.restrict_canonical_into(group, &mut s.canon, &mut s.sub) {
         s.work.restrict_into(group, &mut s.remap, &mut s.sub);
         let out = sky_det_view_with(&s.sub, det, &mut s.det)?;
         stats.joints_computed += out.joints_computed;
-        return Ok((out.sky, false));
+        return Ok(out.sky);
     }
     let Some(scope) = cache else {
         let out = sky_det_view_with(&s.sub, det, &mut s.det)?;
         stats.joints_computed += out.joints_computed;
-        return Ok((out.sky, false));
+        return Ok(out.sky);
     };
     let keyed = component_signature(&s.sub, &mut s.sig);
     debug_assert!(keyed, "canonical views always carry coin keys");
@@ -135,7 +121,7 @@ fn component_factor(
         // Logical work accounting stays deterministic across warm and cold
         // caches: a hit re-adds the joints the solve would have computed.
         stats.joints_computed += entry.joints_computed;
-        return Ok((f64::from_bits(entry.sky_bits), true));
+        return Ok(f64::from_bits(entry.sky_bits));
     }
     let out = sky_det_view_with(&s.sub, det, &mut s.det)?;
     stats.joints_computed += out.joints_computed;
@@ -144,7 +130,7 @@ fn component_factor(
         stats.cache_insertions += 1;
         stats.cache_bytes += ComponentCache::entry_bytes(&s.sig);
     }
-    Ok((out.sky, false))
+    Ok(out.sky)
 }
 
 /// Rung 0 of the threshold ladder, on the pruned but un-absorbed `s.view`
@@ -216,22 +202,22 @@ fn threshold_ladder_inner(
     }
 
     // Rung 2: whole-view Bonferroni bounds, on instances small enough that
-    // level-2 enumeration stays cheap; level 1 otherwise.
+    // level-2 enumeration stays cheap; level 1 otherwise. The request
+    // deadline is checked every 8192 joints of the enumeration.
     let level = if s.work.n_attackers() <= 2_000 { opts.bonferroni_level } else { 1 };
-    if let Some(answer) = decide(target, tau, sky_bounds_bonferroni(&s.work, level)?) {
+    let bounds = sky_bounds_bonferroni_until(&s.work, level, budget.deadline_at)?;
+    if let Some(answer) = decide(target, tau, bounds) {
         stats.plan_bounds += 1;
         return Ok(answer);
     }
 
     // Rung 3: exact wherever the adaptive flat query would solve exactly
-    // (the same `plans_exact` rule, with the fallback sampler's predicted
+    // (the same `plans_exact` rule, with the FALLBACK sampler's predicted
     // cost as the sampling side). After each solved factor, the factors
     // solved so far times the remaining components' brackets enclose sky,
     // so the scan exits as soon as that product decides either side of τ.
-    let algo = Algorithm::Adaptive {
-        exact_component_limit: opts.exact_component_limit,
-        sam: opts.fallback,
-    };
+    let algo =
+        Algorithm::Adaptive { exact_component_limit: opts.exact_component_limit, sam: FALLBACK };
     if plan::plans_exact(algo, &plan::prepared_shape(s)) {
         stats.plan_exact += 1;
         let det =
@@ -239,8 +225,7 @@ fn threshold_ladder_inner(
         let n_groups = s.partition.n_groups();
         let mut sky = 1.0;
         for g in 0..n_groups {
-            let (factor, _) = component_factor(g, det, s, stats, cache)?;
-            sky *= factor;
+            sky *= component_factor(g, det, s, stats, cache)?;
             if g + 1 < n_groups {
                 let rest = s.brackets[g + 1];
                 let bounds = SkyBounds { lower: sky * rest.lower, upper: sky * rest.upper };
@@ -285,10 +270,9 @@ fn threshold_ladder_inner(
         ThresholdDecision::Undecided => {
             // Rung 5: fixed-budget estimate.
             stats.plan_fallback += 1;
-            let sam = opts
-                .fallback
-                .with_seed(opts.fallback.seed ^ target.0 as u64)
-                .with_deadline_at(budget.deadline_at.or(opts.fallback.deadline_at));
+            let sam = FALLBACK
+                .with_seed(FALLBACK.seed ^ target.0 as u64)
+                .with_deadline_at(budget.deadline_at);
             let out = sky_sam_view_with(&s.work, sam, &mut s.sam)?;
             stats.samples_drawn += out.samples;
             stats.coin_draws += out.coin_draws;

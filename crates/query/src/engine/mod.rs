@@ -10,8 +10,10 @@
 //!   absorption, coin-compacting restriction, independence partition.
 //!   Stage toggles ([`PrepareOptions`]) exist for ablations.
 //! * **Plan** compares the summed `2^|g|` inclusion–exclusion cost
-//!   against the sampler's predicted cost and emits an inspectable
-//!   [`Plan`] with provenance ([`PlanReason`]).
+//!   against the sampler's predicted cost and emits a [`Plan`]: the
+//!   decision and the prepared shape it was made from. [`plan_one`] stops
+//!   here, which is how `skyprob profile` reports the engine's own
+//!   reduction.
 //! * **Execute** dispatches to the exact per-component engine or the
 //!   Monte-Carlo estimator — or, for threshold queries, walks the
 //!   escalation ladder of plan refinements.
@@ -46,7 +48,7 @@ mod prepare;
 mod resident;
 mod sensitivity;
 
-pub use plan::{exact_cost, largest_component, Plan, PlanReason};
+pub use plan::{exact_cost, largest_component, Plan};
 pub use prepare::{PrepareOptions, SkyScratch};
 pub(crate) use resident::all_sky_with_trip;
 pub use resident::{
@@ -431,24 +433,19 @@ impl fmt::Display for PipelineStats {
 
 // ------------------------------------------------------------ entry points
 
-/// Prepare, plan and execute one preassembled `s.view`, returning the
-/// chosen [`Plan`] alongside the result.
-pub(crate) fn solve_view_explained(
+/// Prepare and plan the preassembled `s.view`.
+fn plan_view(
     object: ObjectId,
     algo: Algorithm,
     budget: EngineBudget,
     prep: PrepareOptions,
     s: &mut SkyScratch,
     stats: &mut PipelineStats,
-    cache: Option<CacheScope<'_>>,
-) -> Result<(SkyResult, Plan)> {
-    if let Some(short) = prepare::prepare(object, prep, s, stats) {
-        return Ok((short, Plan::ShortCircuit));
+) -> Plan {
+    match prepare::prepare(object, prep, s, stats) {
+        Some(_) => Plan::ShortCircuit,
+        None => plan::plan(algo, budget, s, stats),
     }
-    let cache = if prep.component_cache { cache } else { None };
-    let mut decided = plan::plan(algo, budget, s, stats);
-    let result = execute::execute(object, &mut decided, s, stats, cache)?;
-    Ok((result, decided))
 }
 
 /// One target end to end: assemble its view from the table, then
@@ -466,12 +463,32 @@ pub fn solve_one<M: PreferenceModel>(
     solve_one_explained(table, prefs, target, algo, prep, scratch, stats).map(|(r, _)| r)
 }
 
+/// One target up to its [`Plan`]: assemble its view from the table, then
+/// Prepare and Plan, executing nothing. On return `stats` holds the
+/// reduction Prepare ran; [`solve_one_explained`] is this followed by
+/// Execute.
+pub fn plan_one<M: PreferenceModel>(
+    table: &Table,
+    prefs: &M,
+    target: ObjectId,
+    algo: Algorithm,
+    prep: PrepareOptions,
+    scratch: &mut SkyScratch,
+    stats: &mut PipelineStats,
+) -> Result<Plan> {
+    let t0 = Instant::now();
+    scratch.view = CoinView::build(table, prefs, target)?;
+    stats.prepare_nanos += t0.elapsed().as_nanos() as u64;
+    Ok(plan_view(target, algo, EngineBudget::default(), prep, scratch, stats))
+}
+
 /// [`solve_one`] returning the chosen [`Plan`] alongside the result.
 ///
-/// Single-target queries run with a private per-call component cache (so
-/// repeated components *within* one target still share work); cross-target
-/// sharing belongs to the batch drivers, which thread one cache through
-/// the crate-private `solve_batch_one_explained`.
+/// No component cache is attached: the components of one prepared view
+/// share no coin, so no two of them have the same signature and a
+/// per-call cache could never hit. Cross-target sharing belongs to the
+/// batch drivers, which thread one cache through the crate-private
+/// `solve_batch_one_explained`.
 pub fn solve_one_explained<M: PreferenceModel>(
     table: &Table,
     prefs: &M,
@@ -481,12 +498,9 @@ pub fn solve_one_explained<M: PreferenceModel>(
     scratch: &mut SkyScratch,
     stats: &mut PipelineStats,
 ) -> Result<(SkyResult, Plan)> {
-    let t0 = Instant::now();
-    scratch.view = CoinView::build(table, prefs, target)?;
-    stats.prepare_nanos += t0.elapsed().as_nanos() as u64;
-    let cache = ComponentCache::default();
-    let cache = Some(CacheScope::new(&cache));
-    solve_view_explained(target, algo, EngineBudget::default(), prep, scratch, stats, cache)
+    let decided = plan_one(table, prefs, target, algo, prep, scratch, stats)?;
+    let result = execute::execute(target, &decided, scratch, stats, None)?;
+    Ok((result, decided))
 }
 
 /// One target through the batch assembly path (shared coin indexes),
@@ -506,7 +520,9 @@ pub(crate) fn solve_batch_one_explained<M: PreferenceModel>(
     let t0 = Instant::now();
     ctx.view_into(prefs, target, &mut scratch.batch, &mut scratch.view)?;
     stats.prepare_nanos += t0.elapsed().as_nanos() as u64;
-    solve_view_explained(target, algo, budget, prep, scratch, stats, cache)
+    let decided = plan_view(target, algo, budget, prep, scratch, stats);
+    let result = execute::execute(target, &decided, scratch, stats, cache)?;
+    Ok((result, decided))
 }
 
 /// Decide `sky(target) ≥ τ` on a preassembled `s.view`: prune, try the
@@ -534,12 +550,11 @@ pub(crate) fn threshold_view(
         return Ok(answer);
     }
     prepare::reduce(PrepareOptions::default(), s, stats);
-    let cache = if opts.component_cache { cache } else { None };
     execute::threshold_ladder(target, tau, opts, budget, s, stats, cache)
 }
 
 /// One threshold decision end to end (single-target assembly), with no
-/// budget.
+/// budget and no component cache (see [`solve_one_explained`]).
 pub fn threshold_solve_one<M: PreferenceModel>(
     table: &Table,
     prefs: &M,
@@ -552,9 +567,7 @@ pub fn threshold_solve_one<M: PreferenceModel>(
     let t0 = Instant::now();
     scratch.view = CoinView::build(table, prefs, target)?;
     stats.prepare_nanos += t0.elapsed().as_nanos() as u64;
-    let cache = ComponentCache::default();
-    let cache = Some(CacheScope::new(&cache));
-    threshold_view(target, tau, opts, EngineBudget::default(), scratch, stats, cache)
+    threshold_view(target, tau, opts, EngineBudget::default(), scratch, stats, None)
 }
 
 /// One threshold decision through the batch assembly path.

@@ -1,8 +1,9 @@
 //! Stage 2 — **Plan**: decide how the prepared instance will be solved.
 //!
 //! The planner looks only at the *shape* left behind by Prepare — the
-//! component sizes in `SkyScratch::partition` and the reduced view's
-//! attacker/coin counts — and emits an inspectable [`Plan`]:
+//! [`PreparedShape`] of the partition in `SkyScratch::partition` and the
+//! reduced view — and emits a [`Plan`] that carries the decision and the
+//! shape it was made from:
 //!
 //! * exact per-component inclusion–exclusion costs up to `2^|g|` subset
 //!   terms per component, summed (saturating) over the partition;
@@ -11,8 +12,9 @@
 //!   64-worlds-per-word bit-parallel batching), floored at `1 << 22` so
 //!   small instances stay on the exact path even under tiny budgets.
 //!
-//! A [`Plan`] carries its provenance ([`PlanReason`]) so the CLI and the
-//! bench harness can report *why* each target went exact or sampled.
+//! The answer store records the same shape with every exact answer, so a
+//! later read replays the decision ([`plans_exact`]) without re-running
+//! Prepare.
 
 use std::fmt;
 
@@ -25,27 +27,9 @@ use super::prepare::SkyScratch;
 use super::{EngineBudget, PipelineStats};
 use crate::prob_skyline::Algorithm;
 
-/// Why the planner chose the branch it chose.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanReason {
-    /// The policy dictates this engine unconditionally.
-    Forced,
-    /// The cost model compared `Σ 2^|g|` against the sampler's predicted
-    /// cost and this side won.
-    CostModel,
-    /// Some component exceeds the exact engine's size limit, so only the
-    /// sampler is feasible.
-    ComponentTooLarge,
-    /// Refinement recorded after execution: the plan was exact and *every*
-    /// component was served from the cross-target component cache, so no
-    /// inclusion–exclusion ran at all. (The planner never chooses this —
-    /// the cache must not influence exact-vs-sample, or cached and
-    /// uncached runs would diverge.)
-    CacheHit,
-}
-
-/// The execution plan for one prepared target.
-#[derive(Debug, Clone)]
+/// The execution plan for one prepared target: the decision and the
+/// shape it was made from.
+#[derive(Debug, Clone, Copy)]
 pub enum Plan {
     /// Prepare proved `sky = 0` exactly (certain attacker); nothing to
     /// execute.
@@ -54,65 +38,49 @@ pub enum Plan {
     Exact {
         /// Budgets handed to the per-component engine.
         det: DetOptions,
-        /// Number of independent components.
-        components: usize,
-        /// Largest component size.
-        largest: usize,
-        /// Per-component sizes in partition order — the breakdown the
-        /// `--stats` display prints unconditionally (a single component is
-        /// a breakdown of one, not an omission).
-        component_sizes: Vec<usize>,
-        /// Summed `2^|g|` lattice cost (saturating).
-        exact_cost: u64,
-        /// Components served from the component cache, recorded by the
-        /// Execute stage after the fact (always 0 before execution).
-        cached: usize,
-        /// Why this branch was taken.
-        reason: PlanReason,
+        /// The prepared shape the decision was made from.
+        shape: PreparedShape,
     },
     /// Monte-Carlo sampling on the reduced instance.
     Sample {
         /// Sampler configuration (budget, seed, kernel flags).
         sam: SamOptions,
-        /// The sampler's predicted cost that entered the comparison.
-        predicted_cost: u64,
-        /// Why this branch was taken.
-        reason: PlanReason,
+        /// The prepared shape the decision was made from.
+        shape: PreparedShape,
     },
+}
+
+impl Plan {
+    /// The prepared shape the decision was made from; empty for a
+    /// short-circuit, which leaves nothing to solve.
+    pub fn shape(&self) -> PreparedShape {
+        match self {
+            Plan::ShortCircuit => PreparedShape::default(),
+            Plan::Exact { shape, .. } | Plan::Sample { shape, .. } => *shape,
+        }
+    }
 }
 
 impl fmt::Display for Plan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Plan::ShortCircuit => write!(f, "short-circuit (certain attacker, sky = 0 exact)"),
-            Plan::Exact {
-                components,
-                largest,
-                component_sizes,
-                exact_cost,
-                cached,
-                reason,
-                ..
-            } => {
-                write!(
-                    f,
-                    "exact: {components} component(s), largest {largest}, lattice cost {exact_cost}"
-                )?;
-                // The breakdown prints unconditionally — cache-hit
-                // provenance must be visible even for single-component
-                // targets.
-                write!(f, "; components [")?;
-                for (i, len) in component_sizes.iter().enumerate() {
-                    write!(f, "{}{len}", if i > 0 { " " } else { "" })?;
-                }
-                write!(f, "], {cached}/{components} cached ({reason:?})")
+        let shape = match self {
+            Plan::ShortCircuit => {
+                return write!(f, "short-circuit (certain attacker, sky = 0 exact)")
             }
-            Plan::Sample { sam, predicted_cost, reason } => write!(
-                f,
-                "sample: {} worlds, predicted cost {predicted_cost} ({reason:?})",
-                sam.samples
-            ),
-        }
+            Plan::Exact { shape, .. } => {
+                write!(f, "exact")?;
+                shape
+            }
+            Plan::Sample { sam, shape } => {
+                write!(f, "sample {} worlds", sam.samples)?;
+                shape
+            }
+        };
+        write!(
+            f,
+            " on {} attackers over {} coins, largest component {}, lattice cost {}",
+            shape.attackers, shape.coins, shape.largest, shape.exact_cost
+        )
     }
 }
 
@@ -127,11 +95,6 @@ pub fn exact_cost(partition: &PartitionScratch) -> u64 {
 /// Size of the largest partition group (0 when there are none).
 pub fn largest_component(partition: &PartitionScratch) -> usize {
     (0..partition.n_groups()).map(|g| partition.group(g).len()).max().unwrap_or(0)
-}
-
-/// Per-component sizes in partition order.
-pub fn component_sizes(partition: &PartitionScratch) -> Vec<usize> {
-    (0..partition.n_groups()).map(|g| partition.group(g).len()).collect()
 }
 
 /// The numbers the planner reads off the prepared target in `s`.
@@ -185,35 +148,15 @@ pub(crate) fn plan(
 ) -> Plan {
     let t0 = std::time::Instant::now();
     let shape = prepared_shape(s);
-    let exact = |det: DetOptions, reason| Plan::Exact {
-        det: budget.stamp_det(det),
-        components: s.partition.n_groups(),
-        largest: shape.largest,
-        component_sizes: component_sizes(&s.partition),
-        exact_cost: shape.exact_cost,
-        cached: 0,
-        reason,
-    };
     let decided = match algo {
-        Algorithm::Exact { det } => exact(det, PlanReason::Forced),
-        Algorithm::Sampling(sam) => Plan::Sample {
-            sam: budget.stamp_sam(sam),
-            predicted_cost: sam.predicted_cost(shape.attackers, shape.coins),
-            reason: PlanReason::Forced,
-        },
-        Algorithm::Adaptive { exact_component_limit, .. } if plans_exact(algo, &shape) => exact(
-            DetOptions::default().with_max_attackers(exact_component_limit),
-            PlanReason::CostModel,
-        ),
-        Algorithm::Adaptive { exact_component_limit, sam } => Plan::Sample {
-            sam: budget.stamp_sam(sam),
-            predicted_cost: adaptive_sample_cost(sam, &shape),
-            reason: if shape.largest > exact_component_limit {
-                PlanReason::ComponentTooLarge
-            } else {
-                PlanReason::CostModel
-            },
-        },
+        Algorithm::Exact { det } => Plan::Exact { det: budget.stamp_det(det), shape },
+        Algorithm::Adaptive { exact_component_limit, .. } if plans_exact(algo, &shape) => {
+            let det = DetOptions::default().with_max_attackers(exact_component_limit);
+            Plan::Exact { det: budget.stamp_det(det), shape }
+        }
+        Algorithm::Adaptive { sam, .. } | Algorithm::Sampling(sam) => {
+            Plan::Sample { sam: budget.stamp_sam(sam), shape }
+        }
     };
     match decided {
         Plan::Exact { .. } => stats.plan_exact += 1,

@@ -105,17 +105,11 @@ pub struct PrepareOptions {
     /// connected components of the coin-overlap graph. When off, the whole
     /// instance is treated as a single component.
     pub partition: bool,
-    /// Let the Execute stage probe and fill the cross-target component
-    /// cache when the driver supplies one. Off is the `--no-component-cache`
-    /// ablation baseline; results are bit-identical either way (keyed
-    /// components are restricted canonically regardless, and a hit returns
-    /// the very bits the canonical solve produces).
-    pub component_cache: bool,
 }
 
 impl Default for PrepareOptions {
     fn default() -> Self {
-        Self { absorption: true, partition: true, component_cache: true }
+        Self { absorption: true, partition: true }
     }
 }
 
@@ -130,7 +124,7 @@ impl PrepareOptions {
     /// This is the raw-`Det`/`Sam` baseline mode of the CLI and the
     /// ablations.
     pub fn minimal() -> Self {
-        Self { absorption: false, partition: false, component_cache: true }
+        Self { absorption: false, partition: false }
     }
 
     /// Chainable: toggle absorption.
@@ -142,12 +136,6 @@ impl PrepareOptions {
     /// Chainable: toggle the independence partition.
     pub fn with_partition(mut self, on: bool) -> Self {
         self.partition = on;
-        self
-    }
-
-    /// Chainable: toggle component-cache participation.
-    pub fn with_component_cache(mut self, on: bool) -> Self {
-        self.component_cache = on;
         self
     }
 }

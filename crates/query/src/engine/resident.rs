@@ -12,7 +12,8 @@
 //!
 //! * the **deadline** is stamped into the exact DFS (checked every 8192
 //!   joints) and the samplers (checked every 64-world block) — for
-//!   threshold queries into the ladder's exact rung, sequential test and
+//!   threshold queries into the ladder's whole-view Bonferroni pass
+//!   (checked every 8192 joints), exact rung, sequential test and
 //!   fallback sampler;
 //! * the **joint/sample ledgers** are request-wide: each object charges
 //!   the work it consumed, and objects starting after exhaustion are
@@ -53,7 +54,7 @@ use super::{CacheScope, EngineBudget, PipelineStats, PrepareOptions, SkyScratch}
 use crate::error::{QueryError, Result};
 use crate::prob_skyline::{reseed, Algorithm, QueryOptions, SkyResult};
 use crate::threshold::{validate_tau, ThresholdAnswer, ThresholdOptions};
-use crate::topk::{sort_desc, TopKOptions};
+use crate::topk::{sort_desc, TopKOptions, OVERFETCH, REFINE, SCOUT};
 
 /// A budgeted batch answer: one slot per object, `None` where the budget
 /// ran out before (or while) that object was solved.
@@ -194,8 +195,8 @@ pub(crate) fn all_sky_with_trip<M: PreferenceModel + Sync>(
 ) -> Result<(ResidentOutcome<SkyResult>, Option<QueryError>)> {
     let n = ctx.n_objects();
     let threads = super::effective_threads(opts.threads, n);
-    let prep = PrepareOptions::default().with_component_cache(opts.component_cache);
-    let answers = answer_store(opts, cache);
+    let cache = cache.filter(|_| opts.component_cache);
+    let answers = cache.and_then(|scope| scope.answers());
     let ledger = Ledger::new(&budget);
     let (results, stats) = super::run_chunked(n, threads, |i, scratch, stats| {
         run_budgeted(&ledger, &budget, stats, |per_object, stats| {
@@ -206,7 +207,6 @@ pub(crate) fn all_sky_with_trip<M: PreferenceModel + Sync>(
                 ObjectId::from(i),
                 algo,
                 per_object,
-                prep,
                 scratch,
                 stats,
                 cache,
@@ -233,8 +233,8 @@ pub fn sky_one_resident<M: PreferenceModel>(
     cache: Option<CacheScope<'_>>,
     budget: EngineBudget,
 ) -> Result<ResidentOutcome<SkyResult>> {
-    let prep = PrepareOptions::default().with_component_cache(opts.component_cache);
-    let answers = answer_store(opts, cache);
+    let cache = cache.filter(|_| opts.component_cache);
+    let answers = cache.and_then(|scope| scope.answers());
     let ledger = Ledger::new(&budget);
     let mut scratch = SkyScratch::default();
     let mut stats = PipelineStats::default();
@@ -245,7 +245,6 @@ pub fn sky_one_resident<M: PreferenceModel>(
             target,
             opts.algorithm,
             per_object,
-            prep,
             &mut scratch,
             stats,
             cache,
@@ -283,15 +282,10 @@ pub fn sky_one_stored(
     Some((result, stats))
 }
 
-/// The answer store a request may use: the scope's, unless the request
-/// opted out of caching (`--no-component-cache` measures cold work).
-fn answer_store<'a>(opts: QueryOptions, cache: Option<CacheScope<'a>>) -> Option<&'a AnswerStore> {
-    cache.and_then(|scope| scope.answers()).filter(|_| opts.component_cache)
-}
-
 /// One target through the batch pipeline; an exact answer computed with
 /// the default value-defining options (or a short-circuit) is recorded in
-/// `answers` with its prepared shape and logical joints.
+/// `answers` with the prepared shape its plan was made from and its
+/// logical joints.
 #[allow(clippy::too_many_arguments)]
 fn solve_recorded<M: PreferenceModel>(
     ctx: &BatchCoinContext,
@@ -299,19 +293,19 @@ fn solve_recorded<M: PreferenceModel>(
     target: ObjectId,
     algo: Algorithm,
     budget: EngineBudget,
-    prep: PrepareOptions,
     scratch: &mut SkyScratch,
     stats: &mut PipelineStats,
     cache: Option<CacheScope<'_>>,
     answers: Option<&AnswerStore>,
 ) -> Result<SkyResult> {
     let joints_before = stats.joints_computed;
+    let prep = PrepareOptions::default();
     let (result, decided) = super::solve_batch_one_explained(
         ctx, prefs, target, algo, budget, prep, scratch, stats, cache,
     )?;
-    let shape = match &decided {
+    let shape = match decided {
         Plan::ShortCircuit => Some(PreparedShape::default()),
-        Plan::Exact { det, .. } if default_values(det) => Some(plan::prepared_shape(scratch)),
+        Plan::Exact { det, shape } if default_values(&det) => Some(shape),
         _ => None,
     };
     if let (Some(store), Some(shape)) = (answers, shape) {
@@ -351,9 +345,9 @@ fn default_values(det: &DetOptions) -> bool {
 ///
 /// The request budget reaches the ladder as it reaches the flat query's
 /// plan: its deadline and the object's remaining joint allowance are
-/// stamped into the exact rung, and the deadline into the sequential test
-/// and the fallback sampler, where it takes precedence over their own
-/// `deadline_at`.
+/// stamped into the exact rung, and the deadline into the whole-view
+/// Bonferroni pass, the sequential test (where it takes precedence over
+/// the test's own `deadline_at`) and the fallback sampler.
 pub fn threshold_resident<M: PreferenceModel + Sync>(
     ctx: &BatchCoinContext,
     prefs: &M,
@@ -365,6 +359,7 @@ pub fn threshold_resident<M: PreferenceModel + Sync>(
     validate_tau(tau)?;
     let n = ctx.n_objects();
     let threads = super::effective_threads(opts.threads, n);
+    let cache = cache.filter(|_| opts.component_cache);
     let ledger = Ledger::new(&budget);
     let (results, stats) = super::run_chunked(n, threads, |i, scratch, stats| {
         run_budgeted(&ledger, &budget, stats, |per_object, stats| {
@@ -394,16 +389,16 @@ pub fn top_k_resident<M: PreferenceModel + Sync>(
     cache: Option<CacheScope<'_>>,
     budget: EngineBudget,
 ) -> Result<ResidentOutcome<SkyResult>> {
-    if k == 0 || opts.overfetch == 0 {
+    if k == 0 {
         return Err(crate::error::QueryError::ZeroK);
     }
-    let cache = if opts.component_cache { cache } else { None };
+    let cache = cache.filter(|_| opts.component_cache);
 
     // Phase 1: scout everything.
     let scout_opts = QueryOptions::default()
         .with_algorithm(Algorithm::Adaptive {
             exact_component_limit: opts.exact_component_limit,
-            sam: opts.scout,
+            sam: SCOUT,
         })
         .with_threads(opts.threads)
         .with_component_cache(opts.component_cache);
@@ -417,10 +412,10 @@ pub fn top_k_resident<M: PreferenceModel + Sync>(
     // scratch (bit-identical to fresh scratch per target).
     let ledger = Ledger::new(&budget);
     ledger.charge(stats.joints_computed, stats.samples_drawn);
-    let cut = (k.saturating_mul(opts.overfetch)).min(scouted.len());
+    let cut = (k.saturating_mul(OVERFETCH)).min(scouted.len());
     let mut refined: Vec<SkyResult> = Vec::with_capacity(cut);
     let mut scratch = SkyScratch::default();
-    let prep = PrepareOptions::default().with_component_cache(opts.component_cache);
+    let prep = PrepareOptions::default();
     for r in &scouted[..cut] {
         if r.exact {
             refined.push(*r);
@@ -428,7 +423,7 @@ pub fn top_k_resident<M: PreferenceModel + Sync>(
         }
         let algo = Algorithm::Adaptive {
             exact_component_limit: opts.exact_component_limit,
-            sam: refine_seed(opts.refine, r.object),
+            sam: refine_seed(r.object),
         };
         let slot = run_budgeted(&ledger, &budget, &mut stats, |per_object, stats| {
             super::solve_batch_one_explained(
@@ -455,8 +450,8 @@ pub fn top_k_resident<M: PreferenceModel + Sync>(
 
 /// The refine phase's per-object seed decorrelation; `top_k_reference` in
 /// `crates/query/tests/properties.rs` must use the same to compare bits.
-fn refine_seed(refine: SamOptions, object: ObjectId) -> SamOptions {
-    refine.with_seed(refine.seed ^ (object.0 as u64).wrapping_mul(0x9e37))
+fn refine_seed(object: ObjectId) -> SamOptions {
+    REFINE.with_seed(REFINE.seed ^ (object.0 as u64).wrapping_mul(0x9e37))
 }
 
 #[cfg(test)]

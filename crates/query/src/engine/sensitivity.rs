@@ -365,8 +365,7 @@ fn sensitivity_batch_one<M: PreferenceModel>(
     let t0 = Instant::now();
     ctx.view_into(prefs, target, &mut s.batch, &mut s.view)?;
     stats.prepare_nanos += t0.elapsed().as_nanos() as u64;
-    let prep = PrepareOptions::default().with_component_cache(opts.component_cache);
-    if let Some(short) = super::prepare::prepare(target, prep, s, stats) {
+    if let Some(short) = super::prepare::prepare(target, PrepareOptions::default(), s, stats) {
         return Ok(TargetSensitivity { object: target, sky: short.sky, sensitivities: Vec::new() });
     }
     let t0 = Instant::now();

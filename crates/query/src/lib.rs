@@ -51,8 +51,7 @@ pub mod prelude {
         all_sky_resident, elicitation_rank_resident, sensitivity_one_resident,
         sensitivity_resident, sky_one_resident, threshold_resident, top_k_resident, CacheScope,
         ElicitOptions, ElicitationCandidate, ElicitationOutcome, EngineBudget, PipelineStats, Plan,
-        PlanReason, PrepareOptions, ResidentOutcome, Sensitivity, SensitivityOptions,
-        TargetSensitivity,
+        PrepareOptions, ResidentOutcome, Sensitivity, SensitivityOptions, TargetSensitivity,
     };
     pub use crate::error::QueryError;
     pub use crate::oracle::all_sky_naive;

@@ -24,7 +24,7 @@
 //!    objects the brackets leave open;
 //! 3. **exact solving** wherever the adaptive flat query would solve the
 //!    prepared instance exactly (the planner's own rule, with
-//!    `exact_component_limit` and the `fallback` sampler's predicted
+//!    `exact_component_limit` and the [`FALLBACK`] sampler's predicted
 //!    cost), exiting as soon as the factors solved so far times the
 //!    remaining components' brackets decide either side of τ;
 //! 4. **Wald's sequential test** (`presky_approx::sprt`) — samples only
@@ -79,6 +79,12 @@ pub struct ThresholdAnswer {
     pub resolution: Resolution,
 }
 
+/// The fixed-budget sampler behind the ladder's last rung, for the
+/// objects the sequential test leaves undecided (reseeded per object);
+/// also the sampling side of the exact rung's cost comparison. A request
+/// budget's deadline is stamped into it.
+pub const FALLBACK: SamOptions = SamOptions::with_samples(3000, 0);
+
 /// Options of the threshold query.
 #[derive(Debug, Clone, Copy)]
 #[non_exhaustive]
@@ -90,17 +96,14 @@ pub struct ThresholdOptions {
     pub bonferroni_level: usize,
     /// Components up to this size are solved exactly. The exact rung
     /// engages where the adaptive flat query with this limit and the
-    /// `fallback` sampler would solve exactly: every component within the
-    /// limit and the summed lattice work `Σ 2^|component|` at most the
+    /// [`FALLBACK`] sampler would solve exactly: every component within
+    /// the limit and the summed lattice work `Σ 2^|component|` at most the
     /// sampler's predicted cost (floored at `2^22`).
     pub exact_component_limit: usize,
-    /// Sequential-test configuration (margin, α, β, truncation). A
+    /// Sequential-test truncation, seed and deadline (its indifference
+    /// margin and error levels are constants of `presky_approx::sprt`). A
     /// request budget's deadline takes precedence over its `deadline_at`.
     pub sprt: SprtOptions,
-    /// Fallback fixed-budget sampler for undecided objects; also the
-    /// sampling side of the exact rung's cost comparison. A request
-    /// budget's deadline takes precedence over its `deadline_at`.
-    pub fallback: SamOptions,
     /// Worker threads of the all-objects fan-out (`None` = available
     /// parallelism). Each target is decided on one thread.
     pub threads: Option<usize>,
@@ -115,7 +118,6 @@ impl Default for ThresholdOptions {
             bonferroni_level: 2,
             exact_component_limit: 20,
             sprt: SprtOptions::default(),
-            fallback: SamOptions::default(),
             threads: None,
             component_cache: true,
         }
@@ -135,15 +137,9 @@ impl ThresholdOptions {
         self
     }
 
-    /// Chainable: set the sequential-test configuration.
+    /// Chainable: set the sequential test's truncation, seed and deadline.
     pub fn with_sprt(mut self, sprt: SprtOptions) -> Self {
         self.sprt = sprt;
-        self
-    }
-
-    /// Chainable: set the fixed-budget fallback sampler.
-    pub fn with_fallback(mut self, fallback: SamOptions) -> Self {
-        self.fallback = fallback;
         self
     }
 

@@ -7,7 +7,7 @@
 //!
 //! 1. **scout** — every object gets a cheap estimate (adaptive: exact when
 //!    its reduced instance is small, a low-budget sample otherwise);
-//! 2. **refine** — the top `k · overfetch` candidates are re-evaluated with
+//! 2. **refine** — the top `k · OVERFETCH` candidates are re-evaluated with
 //!    a much larger budget, and the final ranking is taken from the refined
 //!    values. Exact scout values skip refinement.
 //!
@@ -24,19 +24,22 @@ use presky_approx::sampler::SamOptions;
 
 use crate::prob_skyline::SkyResult;
 
-/// Options of the two-phase top-k query.
+/// Scout-phase sampler budget, for objects whose instance is too large to
+/// solve exactly.
+pub const SCOUT: SamOptions = SamOptions::with_samples(500, 0);
+/// Refine-phase sampler budget (reseeded per candidate).
+pub const REFINE: SamOptions = SamOptions::with_samples(20_000, 1);
+/// The refine phase re-evaluates the top `k · OVERFETCH` scouted objects.
+pub const OVERFETCH: usize = 3;
+
+/// Options of the two-phase top-k query. The phases' sampler budgets and
+/// the refine cut are the constants [`SCOUT`], [`REFINE`] and
+/// [`OVERFETCH`].
 #[derive(Debug, Clone, Copy)]
 #[non_exhaustive]
 pub struct TopKOptions {
-    /// Scout-phase sampler budget (used when an object's instance is too
-    /// large to solve exactly).
-    pub scout: SamOptions,
-    /// Refine-phase sampler budget.
-    pub refine: SamOptions,
     /// Components up to this size are solved exactly in both phases.
     pub exact_component_limit: usize,
-    /// Refine `k · overfetch` candidates (≥ 1).
-    pub overfetch: usize,
     /// Worker threads of the scout phase's all-objects fan-out (`None` =
     /// available parallelism). The refine phase runs on the calling
     /// thread.
@@ -50,39 +53,14 @@ pub struct TopKOptions {
 
 impl Default for TopKOptions {
     fn default() -> Self {
-        Self {
-            scout: SamOptions::with_samples(500, 0),
-            refine: SamOptions::with_samples(20_000, 1),
-            exact_component_limit: 20,
-            overfetch: 3,
-            threads: None,
-            component_cache: true,
-        }
+        Self { exact_component_limit: 20, threads: None, component_cache: true }
     }
 }
 
 impl TopKOptions {
-    /// Chainable: set the scout-phase sampler budget.
-    pub fn with_scout(mut self, scout: SamOptions) -> Self {
-        self.scout = scout;
-        self
-    }
-
-    /// Chainable: set the refine-phase sampler budget.
-    pub fn with_refine(mut self, refine: SamOptions) -> Self {
-        self.refine = refine;
-        self
-    }
-
     /// Chainable: set the exact component-size limit for both phases.
     pub fn with_exact_component_limit(mut self, limit: usize) -> Self {
         self.exact_component_limit = limit;
-        self
-    }
-
-    /// Chainable: set the overfetch factor.
-    pub fn with_overfetch(mut self, overfetch: usize) -> Self {
-        self.overfetch = overfetch;
         self
     }
 
@@ -116,7 +94,7 @@ mod tests {
 
     use super::*;
     use crate::engine::{top_k_resident, CacheScope, EngineBudget};
-    use crate::error::{QueryError, Result};
+    use crate::error::Result;
     use crate::oracle::all_sky_naive;
 
     // One-shot shim over the resident driver, standing in for the removed
@@ -165,14 +143,6 @@ mod tests {
         for w in got.windows(2) {
             assert!(w[0].sky >= w[1].sky);
         }
-    }
-
-    #[test]
-    fn zero_k_and_zero_overfetch_rejected() {
-        let (t, p) = fixture();
-        assert!(matches!(top_k_skyline(&t, &p, 0, TopKOptions::default()), Err(QueryError::ZeroK)));
-        let opts = TopKOptions { overfetch: 0, ..TopKOptions::default() };
-        assert!(matches!(top_k_skyline(&t, &p, 1, opts), Err(QueryError::ZeroK)));
     }
 
     #[test]

@@ -23,8 +23,10 @@ use presky_query::engine::{
 use presky_query::error::QueryError;
 use presky_query::oracle::all_sky_naive;
 use presky_query::prob_skyline::{probabilistic_skyline, Algorithm, QueryOptions, SkyResult};
-use presky_query::threshold::{threshold_one, Resolution, ThresholdAnswer, ThresholdOptions};
-use presky_query::topk::TopKOptions;
+use presky_query::threshold::{
+    threshold_one, Resolution, ThresholdAnswer, ThresholdOptions, FALLBACK,
+};
+use presky_query::topk::{TopKOptions, OVERFETCH, REFINE, SCOUT};
 
 /// One-shot all-objects query over the public resident driver —
 /// bit-identical to the removed `all_sky` free function (guarded by
@@ -263,7 +265,7 @@ fn threshold_one_reference(
             resolution: Resolution::Sequential { samples_used: out.samples_used },
         },
         ThresholdDecision::Undecided => {
-            let sam = opts.fallback.with_seed(opts.fallback.seed ^ target.0 as u64);
+            let sam = FALLBACK.with_seed(FALLBACK.seed ^ target.0 as u64);
             let out = sky_sam_view(&work, sam).expect("positive samples");
             ThresholdAnswer {
                 object: target,
@@ -348,12 +350,12 @@ fn top_k_reference(
     let scout_opts = QueryOptions::default()
         .with_algorithm(Algorithm::Adaptive {
             exact_component_limit: opts.exact_component_limit,
-            sam: opts.scout,
+            sam: SCOUT,
         })
         .with_threads(opts.threads);
     let mut scouted = all_sky(table, prefs, scout_opts).expect("scout");
     sort_desc(&mut scouted);
-    let cut = (k.saturating_mul(opts.overfetch)).min(scouted.len());
+    let cut = (k.saturating_mul(OVERFETCH)).min(scouted.len());
     let mut refined: Vec<SkyResult> = Vec::with_capacity(cut);
     for r in &scouted[..cut] {
         if r.exact {
@@ -361,9 +363,7 @@ fn top_k_reference(
         } else {
             let algo = Algorithm::Adaptive {
                 exact_component_limit: opts.exact_component_limit,
-                sam: opts
-                    .refine
-                    .with_seed(opts.refine.seed ^ (r.object.0 as u64).wrapping_mul(0x9e37)),
+                sam: REFINE.with_seed(REFINE.seed ^ (r.object.0 as u64).wrapping_mul(0x9e37)),
             };
             refined.push(sky_one(table, prefs, r.object, algo).expect("refine"));
         }

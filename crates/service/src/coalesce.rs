@@ -86,23 +86,16 @@ pub(crate) fn request_signature(
             sig.u64(tau.to_bits());
             sig.u64(opts.bonferroni_level as u64);
             sig.u64(opts.exact_component_limit as u64);
-            sig.u64(opts.sprt.margin.to_bits());
-            sig.u64(opts.sprt.alpha.to_bits());
-            sig.u64(opts.sprt.beta.to_bits());
             sig.u64(opts.sprt.max_samples);
             sig.u64(opts.sprt.seed);
             sig.absent_deadline(opts.sprt.deadline_at);
-            sig.sam(&opts.fallback);
             sig.opt_u64(opts.threads.map(|t| t as u64));
             sig.bool(opts.component_cache);
         }
         Query::TopK { k, opts } => {
             sig.u8(3);
             sig.u64(*k as u64);
-            sig.sam(&opts.scout);
-            sig.sam(&opts.refine);
             sig.u64(opts.exact_component_limit as u64);
-            sig.u64(opts.overfetch as u64);
             sig.opt_u64(opts.threads.map(|t| t as u64));
             sig.bool(opts.component_cache);
         }

@@ -91,6 +91,7 @@ use presky_query::engine::{
     PipelineStats,
 };
 use presky_query::prob_skyline::Algorithm;
+use presky_query::{threshold, topk};
 
 use crate::coalesce::{request_signature, Join, SingleFlight};
 use crate::error::{Result, ServiceError};
@@ -804,11 +805,11 @@ impl<M: PreferenceModel + Sync> Engine<M> {
             Query::AllSky { opts } => {
                 (n as u64).saturating_mul(per_object(policy_sam(&opts.algorithm)))
             }
-            Query::Threshold { opts, .. } => (n as u64).saturating_mul(per_object(opts.fallback)),
-            Query::TopK { k, opts } => {
-                let scout = (n as u64).saturating_mul(per_object(opts.scout));
-                let refine = (k.saturating_mul(opts.overfetch).min(n) as u64)
-                    .saturating_mul(per_object(opts.refine));
+            Query::Threshold { .. } => (n as u64).saturating_mul(per_object(threshold::FALLBACK)),
+            Query::TopK { k, .. } => {
+                let scout = (n as u64).saturating_mul(per_object(topk::SCOUT));
+                let refine = (k.saturating_mul(topk::OVERFETCH).min(n) as u64)
+                    .saturating_mul(per_object(topk::REFINE));
                 scout.saturating_add(refine)
             }
             // Gradient passes are exact-only, so the planner's sampling

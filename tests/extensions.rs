@@ -155,13 +155,22 @@ fn elicited_preferences_flow_into_skyline_probabilities() {
 #[test]
 fn profile_predicts_exact_feasibility() {
     let prefs = SeededPreferences::complementary(5);
-    // Block-zipf: profile must report components bounded by the block.
+    // Block-zipf: the planned shape (what `skyprob profile` prints) must
+    // have components bounded by the block.
     let cfg = BlockZipfConfig::new(320, 4, 3);
     let table = generate_block_zipf(cfg).unwrap();
-    let view = CoinView::build(&table, &prefs, ObjectId(7)).unwrap();
-    let prof = profile(&view);
-    assert!(prof.largest_component() <= cfg.block_size);
-    assert!(prof.exactly_solvable_within(cfg.block_size));
+    let plan = presky::query::engine::plan_one(
+        &table,
+        &prefs,
+        ObjectId(7),
+        Algorithm::default(),
+        PrepareOptions::full(),
+        &mut SkyScratch::default(),
+        &mut PipelineStats::default(),
+    )
+    .unwrap();
+    let largest = plan.shape().largest;
+    assert!(largest <= cfg.block_size);
     // The prediction holds: Det+ succeeds with that very limit.
     let det = DetOptions::default().with_max_attackers(cfg.block_size);
     let mut stats = PipelineStats::default();
@@ -175,5 +184,5 @@ fn profile_predicts_exact_feasibility() {
         &mut stats,
     )
     .unwrap();
-    assert_eq!(stats.largest_component, prof.largest_component() as u64);
+    assert_eq!(stats.largest_component, largest as u64);
 }
